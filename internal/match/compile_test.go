@@ -29,13 +29,15 @@ func removalsKey(rs []Removal) string {
 	return strings.Join(parts, ",")
 }
 
-// TestEvaluateComponentFastLegacyParity runs the compiled dense path and the
-// LegacyEval pipeline over the same components and seeds and requires
-// identical answers (tuples included — the fixed-seed CHOOSE draw must land
-// on the same valuation) and identical rejection sets. Shapes cover a
+// TestEvaluateComponentFastLiteralParity runs the compiled dense path and
+// the literal pipeline (Algorithm 1 → BuildCombined → Simplify →
+// EvalConjunctive, which memdb's tests hold to the map-backed reference
+// evaluator) over the same components and seeds and requires identical
+// answers (tuples included — the fixed-seed CHOOSE draw must land on the
+// same valuation) and identical rejection sets. Shapes cover a
 // multi-candidate pair (draws matter), a join-variable pair, a component
 // that evaluates to zero rows, and a three-member chain.
-func TestEvaluateComponentFastLegacyParity(t *testing.T) {
+func TestEvaluateComponentFastLiteralParity(t *testing.T) {
 	db := memdb.New()
 	db.MustCreateTable("F", "fno", "dest")
 	for i, dest := range []string{"Rome", "Paris", "Paris", "Paris", "Oslo", "Paris"} {
@@ -88,12 +90,17 @@ func TestEvaluateComponentFastLegacyParity(t *testing.T) {
 		answeredOnce := false
 		for seed := int64(0); seed < 40; seed++ {
 			ansC, rejC, errC := EvaluateComponentFast(db, g, comps[0], byID, seed, Options{})
-			ansL, rejL, errL := EvaluateComponentFast(db, g, comps[0], byID, seed, Options{LegacyEval: true})
+			var rnd memdb.Rng
+			if seed != 0 {
+				sm := memdb.NewSplitMix(seed)
+				rnd = &sm
+			}
+			ansL, rejL, _, errL := EvaluateComponent(db, g, comps[0], byID, rnd, Options{})
 			if (errC == nil) != (errL == nil) {
 				t.Fatalf("%s seed %d: error mismatch: %v vs %v", sh.name, seed, errC, errL)
 			}
 			if ka, kl := answersKey(ansC), answersKey(ansL); ka != kl {
-				t.Fatalf("%s seed %d: answers differ:\ncompiled %s\nlegacy   %s", sh.name, seed, ka, kl)
+				t.Fatalf("%s seed %d: answers differ:\ndense   %s\nliteral %s", sh.name, seed, ka, kl)
 			}
 			if ka, kl := removalsKey(rejC), removalsKey(rejL); ka != kl {
 				t.Fatalf("%s seed %d: rejections differ: %q vs %q", sh.name, seed, ka, kl)

@@ -226,10 +226,10 @@ func NewScratch() *Scratch {
 // diagnostic or its construction cost. When the dense matcher fast path
 // applies, the component evaluates through a compiled plan built straight
 // off the interned unifier with pooled scratch; otherwise (clash or
-// starvation, or the NaiveMGU/LegacyEval ablations) it falls back to the
-// literal pipeline. seed derives the component's CHOOSE stream; 0 picks the
-// first valuation deterministically. g may be the live graph or a
-// graph.CompSnap of the component.
+// starvation, or the NaiveMGU ablation) it falls back to the literal
+// pipeline. seed derives the component's CHOOSE stream; 0 picks the first
+// valuation deterministically. g may be the live graph or a graph.CompSnap
+// of the component.
 func EvaluateComponentFast(db *memdb.DB, g graph.View, component []ir.QueryID, byID map[ir.QueryID]*ir.Query, seed int64, mopt Options) (answers []ir.Answer, rejected []Removal, err error) {
 	return EvaluateComponentFastWith(nil, db, g, component, byID, seed, mopt)
 }
@@ -237,7 +237,7 @@ func EvaluateComponentFast(db *memdb.DB, g graph.View, component []ir.QueryID, b
 // EvaluateComponentFastWith is EvaluateComponentFast with the fast path's
 // scratch pinned by the caller; a nil sc falls back to the package pools.
 func EvaluateComponentFastWith(sc *Scratch, db *memdb.DB, g graph.View, component []ir.QueryID, byID map[ir.QueryID]*ir.Query, seed int64, mopt Options) (answers []ir.Answer, rejected []Removal, err error) {
-	if !mopt.NaiveMGU && !mopt.LegacyEval {
+	if !mopt.NaiveMGU {
 		var ds *denseState
 		var ev *evalScratch
 		if sc != nil {
@@ -268,9 +268,8 @@ func EvaluateComponentFastWith(sc *Scratch, db *memdb.DB, g graph.View, componen
 }
 
 // evaluateViaCombined is the literal pipeline: Algorithm 1 matching, then
-// BuildCombined → Simplify → conjunctive evaluation → SplitAnswers.
-// Options.LegacyEval selects the retained map-backed evaluator; the default
-// compiles the simplified body per call (CompilePlan + ExecPlan under
+// BuildCombined → Simplify → conjunctive evaluation → SplitAnswers. The
+// simplified body compiles per call (CompilePlan + ExecPlan under
 // EvalConjunctive).
 func evaluateViaCombined(db *memdb.DB, g graph.View, component []ir.QueryID, byID map[ir.QueryID]*ir.Query, rnd memdb.Rng, mopt Options) (answers []ir.Answer, rejected []Removal, combined *ir.CombinedQuery, err error) {
 	res := MatchComponent(g, component, mopt)
@@ -287,12 +286,7 @@ func evaluateViaCombined(db *memdb.DB, g graph.View, component []ir.QueryID, byI
 		return nil, rejected, nil, nil
 	}
 	simplified := Simplify(cq, global)
-	var vals []ir.Substitution
-	if mopt.LegacyEval {
-		vals, err = db.EvalConjunctiveLegacy(simplified.Body, nil, memdb.EvalOptions{Limit: 1, Rand: rnd})
-	} else {
-		vals, err = db.EvalConjunctive(simplified.Body, nil, memdb.EvalOptions{Limit: 1, Rand: rnd})
-	}
+	vals, err := db.EvalConjunctive(simplified.Body, nil, memdb.EvalOptions{Limit: 1, Rand: rnd})
 	if err != nil {
 		return nil, nil, nil, err
 	}

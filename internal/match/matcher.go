@@ -12,9 +12,9 @@
 // are grounded directly from the winning binding row, so no CombinedQuery,
 // map-backed unifier or ir.Substitution is materialised on the way to an
 // answer. The literal pipeline (BuildCombined → Simplify → EvalConjunctive)
-// remains for diagnostics-bearing callers, for components the fast path
-// cannot handle, and — via Options.LegacyEval — as the equivalence ablation
-// that routes evaluation through memdb's retained map-backed evaluator.
+// remains for diagnostics-bearing callers and for components the fast path
+// cannot handle; the two are parity-tested against each other, and memdb's
+// tests hold both to the map-backed reference evaluator.
 package match
 
 import (
@@ -103,12 +103,6 @@ type MatchResult struct {
 type Options struct {
 	// NaiveMGU switches unifier merging to the quadratic baseline (A3).
 	NaiveMGU bool
-	// LegacyEval routes combined-query evaluation through the retained
-	// map-backed evaluator (memdb.EvalConjunctiveLegacy) and the literal
-	// BuildCombined/Simplify pipeline instead of compiled plans. The two
-	// paths are equivalence-tested: identical answers, rejections and
-	// fixed-seed CHOOSE draws.
-	LegacyEval bool
 	// Plans, when non-nil, caches compiled evaluation plans by component
 	// shape on the dense fast path: repeat shapes skip join-order
 	// compilation entirely, executing the cached parameterised plan with

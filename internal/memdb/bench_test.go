@@ -98,29 +98,6 @@ func BenchmarkPlanExec(b *testing.B) {
 	}
 }
 
-// BenchmarkEvalLegacyThreeWayJoin is the pre-compilation evaluator on the
-// same shape, for the split's before/after comparison.
-func BenchmarkEvalLegacyThreeWayJoin(b *testing.B) {
-	db := benchDB(b, 100000)
-	atoms := []ir.Atom{
-		ir.NewAtom("F", ir.Const("u5000"), ir.Var("x")),
-		ir.NewAtom("U", ir.Const("u5000"), ir.Var("c")),
-		ir.NewAtom("U", ir.Var("x"), ir.Var("c")),
-	}
-	// Build the probe indexes the compiled path would use, so the two
-	// benchmarks compare evaluator machinery rather than index presence.
-	if _, err := db.EvalConjunctive(atoms, nil, EvalOptions{Limit: 1}); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := db.EvalConjunctiveLegacy(atoms, nil, EvalOptions{Limit: 1}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkInsertIndexed(b *testing.B) {
 	db := New()
 	db.MustCreateTable("T", "a", "b")

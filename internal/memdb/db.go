@@ -8,8 +8,52 @@
 // is exactly the class of queries that Section 4.2's combined-query
 // construction emits.
 //
-// All values are strings; the IR's constants map onto them directly. Tables
-// are safe for concurrent readers; writers take an exclusive lock.
+// # Storage layout: dictionary IDs inside, strings at the boundary
+//
+// Every value is a string at the API boundary and a uint32 inside. A DB owns
+// one dictionary (string ⇄ ID, guarded by the DB lock); Insert interns each
+// value once, a table stores one []uint32 per column, and a hash index is a
+// []uint32 posting arena located by value ID (index.go). The row store and
+// the postings therefore contain no pointers: the collector never scans
+// them, and the paper's 1.07 M-row Friends relation costs ~12 bytes a row
+// instead of ~170. Joins compare and bind IDs only. A query's constants and
+// parameters are looked up — never interned — once per execution, so a
+// constant the database has not seen simply matches nothing; compiled plans
+// stay DB-independent (they keep the strings), because a constant absent
+// when a plan was compiled may be inserted before it next runs. Strings
+// reappear only where an answer leaves the package: ExecPlan converts each
+// result row while it still holds the read lock, so ExecState.Row, Rows and
+// FilterCtx.Slot hand out ordinary strings.
+//
+// The dictionary is grow-only: IDs are never reused or renumbered, so
+// postings, snapshots and in-flight executions never see an ID change
+// meaning. The price is that Delete, DeleteRow and DropTable free rows and
+// postings but not dictionary entries — after a mass delete the strings of
+// the departed rows stay resident (and travel in snapshots) until the
+// process rebuilds the database, e.g. by copying Rows into a fresh DB.
+// Values and rows are counted in uint32, which bounds a DB to 2³²−2
+// distinct values and a table to 2³²−1 rows.
+//
+// Tables are safe for concurrent readers; writers take an exclusive lock.
+//
+// # Snapshot format v2
+//
+// WriteSnapshot streams the layout above as it sits in memory (little
+// endian, no row is ever materialised to encode or decode):
+//
+//	"MDBS" | version u32 = 2
+//	dictionary: count u32, then per value: length u32 | bytes
+//	tables:     count u32, then per table (sorted by name):
+//	              name | column count u32 | column names | row count u32
+//	              per column: row-count raw u32 value IDs
+//	              indexed-column count u32 | column positions u32 (ascending)
+//	trailer:    CRC-32C of every preceding byte
+//
+// ReadSnapshot validates everything it reads — lengths are never trusted
+// for allocation, IDs must fall inside the dictionary, the trailer must
+// match — and rebuilds the listed indexes. The gob form written before this
+// layout (v1), like any input without the magic and version, is refused
+// with ErrSnapshotVersion.
 //
 // # Compiled evaluation plans
 //
@@ -29,8 +73,8 @@
 // trail, building hash indexes for exactly the declared probe positions
 // (never-probed positions stay unindexed) and allocating nothing in steady
 // state with a reused ExecState. Single-atom plans skip the join-order
-// simulation entirely. EvalConjunctiveLegacy retains the map-backed
-// evaluator as the executable specification the compiled path is
+// simulation entirely. The map-backed evaluator the compiled path replaced
+// lives on in this package's tests as the executable specification it is
 // equivalence-tested against (identical valuations and CHOOSE draws).
 //
 // # Plan cache
@@ -57,16 +101,55 @@ import (
 	"sync/atomic"
 )
 
-// Row is one tuple of a table. Positions correspond to the table's columns.
-type Row []string
+// noID is the value ID of a string the dictionary does not hold. No stored
+// value carries it, so comparing against it fails and probing with it finds
+// nothing — which is how an unknown constant matches no row.
+const noID = ^uint32(0)
 
-// Table is a named relation with a fixed column list. Hash indexes are
-// built lazily per column on first use by the evaluator.
+// dict is the DB's grow-only value dictionary. Guarded by DB.mu.
+type dict struct {
+	ids  map[string]uint32
+	strs []string // by ID
+}
+
+// lookup returns the ID of s, or noID when s was never inserted.
+func (d *dict) lookup(s string) uint32 {
+	if id, ok := d.ids[s]; ok {
+		return id
+	}
+	return noID
+}
+
+// lookupAll appends the ID of each string (noID for unknown ones) to dst.
+func (d *dict) lookupAll(dst []uint32, strs []string) []uint32 {
+	for _, s := range strs {
+		dst = append(dst, d.lookup(s))
+	}
+	return dst
+}
+
+// intern returns the ID of s, assigning the next one on first sight. The
+// dictionary keeps its own copy, so it never pins a caller's larger buffer
+// (a script, a wire line) through a substring.
+func (d *dict) intern(s string) uint32 {
+	if id, ok := d.ids[s]; ok {
+		return id
+	}
+	s = strings.Clone(s)
+	id := uint32(len(d.strs))
+	d.ids[s] = id
+	d.strs = append(d.strs, s)
+	return id
+}
+
+// Table is a named relation with a fixed column list, stored column-wise
+// as dictionary IDs. Hash indexes are built lazily per column on first use
+// by the evaluator.
 type Table struct {
-	name    string
-	cols    []string
-	rows    []Row
-	indexes map[int]map[string][]int // column → value → row ids
+	name     string
+	colNames []string
+	cols     [][]uint32 // cols[c][row] = value ID; at least one column, all equally long
+	indexes  []*index   // by column position; nil = not indexed
 	// planRows is the row count at the last stats-epoch bump attributed to
 	// this table. Join-order compilation reads live row counts; once the
 	// count drifts outside a band around planRows the DB's stats epoch is
@@ -75,22 +158,42 @@ type Table struct {
 	planRows int
 }
 
+func newTable(name string, cols []string) *Table {
+	return &Table{
+		name:     name,
+		colNames: append([]string(nil), cols...),
+		cols:     make([][]uint32, len(cols)),
+		indexes:  make([]*index, len(cols)),
+	}
+}
+
 // Name returns the table name.
 func (t *Table) Name() string { return t.name }
 
 // Columns returns a copy of the column names.
-func (t *Table) Columns() []string { return append([]string(nil), t.cols...) }
+func (t *Table) Columns() []string { return append([]string(nil), t.colNames...) }
 
 // Len returns the number of rows.
-func (t *Table) Len() int { return len(t.rows) }
+func (t *Table) Len() int { return len(t.cols[0]) }
 
 // Arity returns the number of columns.
-func (t *Table) Arity() int { return len(t.cols) }
+func (t *Table) Arity() int { return len(t.colNames) }
+
+// colIndex returns the position of the named column, or -1.
+func (t *Table) colIndex(name string) int {
+	for i, c := range t.colNames {
+		if c == name {
+			return i
+		}
+	}
+	return -1
+}
 
 // DB is an in-memory relational database.
 type DB struct {
 	mu     sync.RWMutex
 	tables map[string]*Table
+	dict   dict
 	// statsEpoch advances whenever the inputs of join-order compilation
 	// change materially: any DDL (table created or dropped), and any table
 	// whose row count drifts outside the band around its count at the last
@@ -101,7 +204,7 @@ type DB struct {
 
 // New returns an empty database.
 func New() *DB {
-	return &DB{tables: make(map[string]*Table)}
+	return &DB{tables: make(map[string]*Table), dict: dict{ids: make(map[string]uint32)}}
 }
 
 // CreateTable creates a table with the given columns. It fails if the table
@@ -122,11 +225,7 @@ func (db *DB) CreateTable(name string, cols ...string) error {
 		}
 		seen[c] = true
 	}
-	db.tables[name] = &Table{
-		name:    name,
-		cols:    append([]string(nil), cols...),
-		indexes: make(map[int]map[string][]int),
-	}
+	db.tables[name] = newTable(name, cols)
 	db.statsEpoch.Add(1)
 	return nil
 }
@@ -163,8 +262,7 @@ func (db *DB) StatsEpoch() uint64 { return db.statsEpoch.Load() }
 // table growth: steady inserts invalidate cached join orders O(log n) times,
 // not per row. Caller holds the write lock.
 func (db *DB) noteSizeLocked(t *Table) {
-	n := len(t.rows)
-	if n > 2*t.planRows+16 || n < t.planRows/2 {
+	if n := t.Len(); n > 2*t.planRows+16 || n < t.planRows/2 {
 		t.planRows = n
 		db.statsEpoch.Add(1)
 	}
@@ -181,6 +279,10 @@ func (db *DB) Table(name string) *Table {
 func (db *DB) TableNames() []string {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
+	return db.tableNamesLocked()
+}
+
+func (db *DB) tableNamesLocked() []string {
 	out := make([]string, 0, len(db.tables))
 	for n := range db.tables {
 		out = append(out, n)
@@ -191,22 +293,7 @@ func (db *DB) TableNames() []string {
 
 // Insert appends one row. The value count must match the table's arity.
 func (db *DB) Insert(table string, values ...string) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	t, ok := db.tables[table]
-	if !ok {
-		return fmt.Errorf("memdb: no table %s", table)
-	}
-	if len(values) != len(t.cols) {
-		return fmt.Errorf("memdb: table %s has %d columns, got %d values", table, len(t.cols), len(values))
-	}
-	id := len(t.rows)
-	t.rows = append(t.rows, append(Row(nil), values...))
-	for col, ix := range t.indexes {
-		ix[values[col]] = append(ix[values[col]], id)
-	}
-	db.noteSizeLocked(t)
-	return nil
+	return db.BulkInsert(table, [][]string{values})
 }
 
 // MustInsert is Insert that panics on error.
@@ -217,6 +304,7 @@ func (db *DB) MustInsert(table string, values ...string) {
 }
 
 // BulkInsert appends many rows at once under a single lock acquisition.
+// The rows are read, not retained, so callers may reuse their buffers.
 func (db *DB) BulkInsert(table string, rows [][]string) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -224,17 +312,29 @@ func (db *DB) BulkInsert(table string, rows [][]string) error {
 	if !ok {
 		return fmt.Errorf("memdb: no table %s", table)
 	}
+	defer db.noteSizeLocked(t)
 	for _, values := range rows {
-		if len(values) != len(t.cols) {
-			return fmt.Errorf("memdb: table %s has %d columns, got %d values", table, len(t.cols), len(values))
-		}
-		id := len(t.rows)
-		t.rows = append(t.rows, append(Row(nil), values...))
-		for col, ix := range t.indexes {
-			ix[values[col]] = append(ix[values[col]], id)
+		if err := db.appendRowLocked(t, values); err != nil {
+			return err
 		}
 	}
-	db.noteSizeLocked(t)
+	return nil
+}
+
+// appendRowLocked interns values and appends them as t's next row, keeping
+// every existing index current. Caller holds the write lock.
+func (db *DB) appendRowLocked(t *Table, values []string) error {
+	if len(values) != len(t.colNames) {
+		return fmt.Errorf("memdb: table %s has %d columns, got %d values", t.name, len(t.colNames), len(values))
+	}
+	row := uint32(t.Len())
+	for col, v := range values {
+		id := db.dict.intern(v)
+		t.cols[col] = append(t.cols[col], id)
+		if ix := t.indexes[col]; ix != nil {
+			ix.add(id, row)
+		}
+	}
 	return nil
 }
 
@@ -246,13 +346,7 @@ func (db *DB) CreateIndex(table, column string) error {
 	if !ok {
 		return fmt.Errorf("memdb: no table %s", table)
 	}
-	col := -1
-	for i, c := range t.cols {
-		if c == column {
-			col = i
-			break
-		}
-	}
+	col := t.colIndex(column)
 	if col < 0 {
 		return fmt.Errorf("memdb: table %s has no column %s", table, column)
 	}
@@ -260,41 +354,37 @@ func (db *DB) CreateIndex(table, column string) error {
 	return nil
 }
 
-// buildIndex constructs the hash index for a column position. The map is
-// pre-sized from the table's stats: planRows (the row count the stats epoch
-// last saw — what join-order compilation planned against) or the live count,
-// whichever is larger, so bulk-loaded tables build their probe indexes
-// without incremental map growth. Distinct values bound the real bucket
-// need from above; ID-like probe columns (the common case) sit at the
-// bound. Caller holds the write lock (or is the evaluator, which upgrades
-// explicitly).
+// buildIndex constructs the hash index for a column position. Caller holds
+// the write lock (or is the evaluator, which upgrades explicitly).
 func (t *Table) buildIndex(col int) {
-	hint := t.planRows
-	if n := len(t.rows); n > hint {
-		hint = n
-	}
-	ix := make(map[string][]int, hint)
-	for id, row := range t.rows {
-		ix[row[col]] = append(ix[row[col]], id)
-	}
-	t.indexes[col] = ix
+	t.indexes[col] = newIndex(t.cols[col])
 }
 
-// lookupEq returns the row ids whose column equals value (ascending, i.e.
-// insertion order either way): the index's posting list when one exists,
-// otherwise a scan appended into scratch so the fallback allocates nothing
-// once the caller's scratch has grown. The second result is the scratch to
-// retain for the next call — the caller must NOT retain the first result as
-// scratch, since in the indexed case it aliases the live index. Caller holds
-// at least the read lock.
-func (t *Table) lookupEq(col int, value string, scratch []int) (ids, retain []int) {
-	if ix, ok := t.indexes[col]; ok {
-		return ix[value], scratch
+// rebuildIndexes rebuilds every existing index after rows moved (deletes
+// compact the columns, renumbering rows). Caller holds the write lock.
+func (t *Table) rebuildIndexes() {
+	for col, ix := range t.indexes {
+		if ix != nil {
+			t.buildIndex(col)
+		}
+	}
+}
+
+// lookupEq returns the row ids whose column holds the value ID (ascending,
+// i.e. insertion order either way): the index's posting list when one
+// exists, otherwise a scan appended into scratch so the fallback allocates
+// nothing once the caller's scratch has grown. The second result is the
+// scratch to retain for the next call — the caller must NOT retain the
+// first result as scratch, since in the indexed case it aliases the live
+// index. Caller holds at least the read lock.
+func (t *Table) lookupEq(col int, id uint32, scratch []uint32) (rows, retain []uint32) {
+	if ix := t.indexes[col]; ix != nil {
+		return ix.lookup(id), scratch
 	}
 	out := scratch[:0]
-	for id, row := range t.rows {
-		if row[col] == value {
-			out = append(out, id)
+	for row, v := range t.cols[col] {
+		if v == id {
+			out = append(out, uint32(row))
 		}
 	}
 	return out, out
@@ -309,11 +399,23 @@ func (db *DB) Rows(table string) ([][]string, error) {
 	if !ok {
 		return nil, fmt.Errorf("memdb: no table %s", table)
 	}
-	out := make([][]string, len(t.rows))
-	for i, r := range t.rows {
-		out[i] = append([]string(nil), r...)
+	return db.rowsLocked(t), nil
+}
+
+// rowsLocked materialises every row of t as strings, carved from one
+// backing array. Caller holds at least the read lock.
+func (db *DB) rowsLocked(t *Table) [][]string {
+	arity := len(t.colNames)
+	out := make([][]string, t.Len())
+	flat := make([]string, len(out)*arity)
+	for i := range out {
+		row := flat[i*arity : (i+1)*arity : (i+1)*arity]
+		for c := range row {
+			row[c] = db.dict.strs[t.cols[c][i]]
+		}
+		out[i] = row
 	}
-	return out, nil
+	return out
 }
 
 // String summarizes the database contents.
@@ -321,14 +423,9 @@ func (db *DB) String() string {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	var b strings.Builder
-	names := make([]string, 0, len(db.tables))
-	for n := range db.tables {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
+	for _, n := range db.tableNamesLocked() {
 		t := db.tables[n]
-		fmt.Fprintf(&b, "%s(%s): %d rows\n", n, strings.Join(t.cols, ", "), len(t.rows))
+		fmt.Fprintf(&b, "%s(%s): %d rows\n", n, strings.Join(t.colNames, ", "), t.Len())
 	}
 	return b.String()
 }

@@ -8,42 +8,10 @@ import "fmt"
 // it is intended for inventory-style updates between coordination rounds
 // (the database must not change *during* a coordination round —
 // Section 2.3 — which the engine's evaluation paths guarantee by holding
-// the coordination lock, not this method).
+// the coordination lock, not this method). Dictionary entries outlive the
+// rows that introduced them (see the package comment).
 func (db *DB) Delete(table, column, value string) (int, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	t, ok := db.tables[table]
-	if !ok {
-		return 0, fmt.Errorf("memdb: no table %s", table)
-	}
-	col := -1
-	for i, c := range t.cols {
-		if c == column {
-			col = i
-			break
-		}
-	}
-	if col < 0 {
-		return 0, fmt.Errorf("memdb: table %s has no column %s", table, column)
-	}
-	kept := t.rows[:0]
-	removed := 0
-	for _, row := range t.rows {
-		if row[col] == value {
-			removed++
-			continue
-		}
-		kept = append(kept, row)
-	}
-	if removed == 0 {
-		return 0, nil
-	}
-	t.rows = kept
-	for idxCol := range t.indexes {
-		t.buildIndex(idxCol)
-	}
-	db.noteSizeLocked(t)
-	return removed, nil
+	return db.DeleteRow(table, map[string]string{column: value})
 }
 
 // DeleteRow removes rows matching all given column=value conditions,
@@ -55,39 +23,38 @@ func (db *DB) DeleteRow(table string, conds map[string]string) (int, error) {
 	if !ok {
 		return 0, fmt.Errorf("memdb: no table %s", table)
 	}
-	colOf := make(map[int]string, len(conds))
+	type cond struct {
+		col []uint32
+		id  uint32
+	}
+	cs := make([]cond, 0, len(conds))
 	for name, v := range conds {
-		found := false
-		for i, c := range t.cols {
-			if c == name {
-				colOf[i] = v
-				found = true
-				break
-			}
-		}
-		if !found {
+		col := t.colIndex(name)
+		if col < 0 {
 			return 0, fmt.Errorf("memdb: table %s has no column %s", table, name)
 		}
+		cs = append(cs, cond{t.cols[col], db.dict.lookup(v)})
 	}
-	kept := t.rows[:0]
-	removed := 0
+	n, kept := t.Len(), 0
 rows:
-	for _, row := range t.rows {
-		for col, v := range colOf {
-			if row[col] != v {
-				kept = append(kept, row)
+	for row := 0; row < n; row++ {
+		for _, c := range cs {
+			if c.col[row] != c.id {
+				for _, col := range t.cols {
+					col[kept] = col[row]
+				}
+				kept++
 				continue rows
 			}
 		}
-		removed++
 	}
-	if removed == 0 {
+	if kept == n {
 		return 0, nil
 	}
-	t.rows = kept
-	for idxCol := range t.indexes {
-		t.buildIndex(idxCol)
+	for i := range t.cols {
+		t.cols[i] = t.cols[i][:kept]
 	}
+	t.rebuildIndexes()
 	db.noteSizeLocked(t)
-	return removed, nil
+	return n - kept, nil
 }

@@ -30,9 +30,7 @@ type EvalOptions struct {
 // slice-backed bindings. Returned valuations bind every variable of the
 // original atoms (post-normalisation classes are expanded back to all
 // members). Callers that evaluate repeatedly should compile once and use
-// ExecPlan with a reused ExecState; EvalConjunctiveLegacy is the retained
-// map-backed reference implementation the compiled path is test-checked
-// against.
+// ExecPlan with a reused ExecState.
 func (db *DB) EvalConjunctive(atoms []ir.Atom, eqs []ir.Equality, opt EvalOptions) ([]ir.Substitution, error) {
 	p := db.CompilePlan(atoms, eqs)
 	var st ExecState
@@ -42,16 +40,7 @@ func (db *DB) EvalConjunctive(atoms []ir.Atom, eqs []ir.Equality, opt EvalOption
 	}
 	var out []ir.Substitution
 	for i := 0; i < n; i++ {
-		row := st.Row(i)
-		full := make(ir.Substitution, len(p.outs))
-		for _, o := range p.outs {
-			if o.slot < 0 {
-				full[o.name] = ir.Const(o.cval)
-			} else {
-				full[o.name] = ir.Const(row[o.slot])
-			}
-		}
-		out = append(out, full)
+		out = append(out, p.ResultSubstitution(&st, i))
 	}
 	return out, nil
 }
@@ -64,98 +53,6 @@ func (db *DB) Count(atoms []ir.Atom, eqs []ir.Equality) (int, error) {
 		return 0, err
 	}
 	return len(res), nil
-}
-
-// EvalConjunctiveLegacy is the pre-compilation evaluator: equality
-// normalisation, atom rewriting and a map-backed backtracking join, all per
-// call. It is retained as the executable specification of EvalConjunctive —
-// the equivalence tests drive both evaluators over the same workloads and
-// random streams and require identical valuations and identical CHOOSE
-// draws — and as the engine's LegacyEval ablation. Unlike the compiled
-// path it never builds indexes: absent an index, candidate rows come from
-// an allocation-free scan into per-depth scratch, which yields row ids in
-// the same (insertion) order an index would.
-func (db *DB) EvalConjunctiveLegacy(atoms []ir.Atom, eqs []ir.Equality, opt EvalOptions) ([]ir.Substitution, error) {
-	norm, expand, err := normalizeEqualities(eqs)
-	if err != nil {
-		// Inconsistent ϕU: no valuations.
-		return nil, nil
-	}
-	rewritten := make([]ir.Atom, len(atoms))
-	for i, a := range atoms {
-		rewritten[i] = a.Apply(norm)
-	}
-
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-
-	// Resolve tables and validate arities up front.
-	tabs := make([]*Table, len(rewritten))
-	for i, a := range rewritten {
-		t, ok := db.tables[a.Rel]
-		if !ok {
-			return nil, fmt.Errorf("memdb: query references unknown table %s", a.Rel)
-		}
-		if len(a.Args) != len(t.cols) {
-			return nil, fmt.Errorf("memdb: atom %s has arity %d but table has %d columns", a, len(a.Args), len(t.cols))
-		}
-		tabs[i] = t
-	}
-
-	st := &joinState{
-		db:      db,
-		atoms:   rewritten,
-		tables:  tabs,
-		used:    make([]bool, len(rewritten)),
-		bound:   make([]int, len(rewritten)),
-		binding: make(ir.Substitution),
-		opt:     opt,
-	}
-	// Pre-compute the per-atom bound-argument counts and the variable →
-	// argument-occurrence postings that keep them current as bindings come
-	// and go, so atom selection per search level is one O(atoms) max-scan
-	// instead of re-counting every argument of every atom.
-	st.varOccs = make(map[string][]int, len(rewritten)*2)
-	for i, a := range rewritten {
-		for _, t := range a.Args {
-			if t.IsConst() {
-				st.bound[i]++
-			} else {
-				st.varOccs[t.Value] = append(st.varOccs[t.Value], i)
-			}
-		}
-	}
-	st.resolved = make([][]ir.Term, len(rewritten))
-	st.scan = make([][]int, len(rewritten))
-	st.search()
-
-	// Expand class representatives back to every original variable and
-	// re-check ground equalities.
-	var out []ir.Substitution
-	for _, val := range st.results {
-		full := make(ir.Substitution, len(val)+len(expand))
-		for k, v := range val {
-			full[k] = v
-		}
-		ok := true
-		for v, rep := range expand {
-			switch {
-			case rep.IsConst():
-				full[v] = rep
-			default:
-				bound, have := val[rep.Value]
-				if !have {
-					ok = false
-					break
-				}
-				full[v] = bound
-			}
-		}
-		if ok {
-			out = append(out, full)
-		}
-	}
-	return out, nil
 }
 
 // normalizeEqualities converts ϕU into (1) a substitution `norm` mapping
@@ -236,169 +133,4 @@ func normalizeEqualities(eqs []ir.Equality) (norm ir.Substitution, expand map[st
 		}
 	}
 	return norm, expand, nil
-}
-
-// joinState carries the legacy backtracking join. The per-level scratch —
-// the resolved-argument buffers (one per recursion depth, reused across
-// sibling rows), the unindexed-scan candidate buffers, and the binding trail
-// (one shared stack unwound to a mark on backtrack) — is allocated once per
-// evaluation, so the inner candidate loop itself allocates nothing.
-type joinState struct {
-	db       *DB
-	atoms    []ir.Atom
-	tables   []*Table
-	used     []bool
-	bound    []int            // per atom: count of argument positions currently bound
-	varOccs  map[string][]int // variable → atom index per argument occurrence
-	binding  ir.Substitution
-	trail    []string    // bound-variable stack; unwound to a mark on backtrack
-	resolved [][]ir.Term // per-depth resolved-argument scratch
-	scan     [][]int     // per-depth unindexed-lookup scratch
-	depth    int
-	results  []ir.Substitution
-	opt      EvalOptions
-}
-
-func (s *joinState) done() bool {
-	return s.opt.Limit > 0 && len(s.results) >= s.opt.Limit
-}
-
-// bindVar records a fresh binding, pushing it on the trail and bumping the
-// bound count of every atom the variable occurs in.
-func (s *joinState) bindVar(v string, val ir.Term) {
-	s.binding[v] = val
-	s.trail = append(s.trail, v)
-	for _, ai := range s.varOccs[v] {
-		s.bound[ai]++
-	}
-}
-
-// unwind pops trail bindings down to the mark.
-func (s *joinState) unwind(mark int) {
-	for i := len(s.trail) - 1; i >= mark; i-- {
-		v := s.trail[i]
-		delete(s.binding, v)
-		for _, ai := range s.varOccs[v] {
-			s.bound[ai]--
-		}
-	}
-	s.trail = s.trail[:mark]
-}
-
-// search picks the next atom (lowest planCost first — table size discounted
-// per bound argument occurrence; ties by more bound occurrences, then by
-// position), iterates its candidate rows, extends the binding and recurses.
-// The rule is shared verbatim with the compile-time simulation in
-// PlanBuilder.Finish: it reads only bound counts and table sizes (static
-// under the read lock held for the whole evaluation), which is what lets
-// compiled plans fix the identical order up front.
-func (s *joinState) search() {
-	if s.done() {
-		return
-	}
-	// Atom selection reads the incrementally maintained bound counts — one
-	// comparison per atom, not a rescan of every argument.
-	next, bestCost, bound := -1, 0, -1
-	for i := range s.atoms {
-		if s.used[i] {
-			continue
-		}
-		c := planCost(len(s.tables[i].rows), s.bound[i])
-		if next < 0 || c < bestCost || (c == bestCost && s.bound[i] > bound) {
-			next, bestCost, bound = i, c, s.bound[i]
-		}
-	}
-	if next < 0 {
-		// All atoms satisfied: record a copy of the binding.
-		cp := make(ir.Substitution, len(s.binding))
-		for k, v := range s.binding {
-			cp[k] = v
-		}
-		s.results = append(s.results, cp)
-		return
-	}
-	s.used[next] = true
-	defer func() { s.used[next] = false }()
-
-	a := s.atoms[next]
-	t := s.tables[next]
-
-	// Determine candidate rows: indexed lookup on the first bound position,
-	// else full scan (iterated directly — no materialised id list).
-	if s.resolved[s.depth] == nil {
-		s.resolved[s.depth] = make([]ir.Term, 0, len(a.Args))
-	}
-	resolved := s.resolved[s.depth][:0]
-	firstBound := -1
-	for i, arg := range a.Args {
-		switch {
-		case arg.IsConst():
-			resolved = append(resolved, arg)
-		default:
-			if v, ok := s.binding[arg.Value]; ok {
-				resolved = append(resolved, v)
-			} else {
-				resolved = append(resolved, arg)
-				continue
-			}
-		}
-		if firstBound < 0 {
-			firstBound = i
-		}
-	}
-	s.resolved[s.depth] = resolved // keep grown capacity for reuse
-
-	var candidates []int
-	nCand := 0
-	if firstBound >= 0 {
-		candidates, s.scan[s.depth] = t.lookupEq(firstBound, resolved[firstBound].Value, s.scan[s.depth])
-		nCand = len(candidates)
-	} else {
-		nCand = len(t.rows)
-	}
-	// Randomised start offset implements CHOOSE-at-random cheaply without
-	// copying the candidate list.
-	offset := 0
-	if s.opt.Rand != nil && nCand > 1 {
-		offset = s.opt.Rand.Intn(nCand)
-	}
-	for i := 0; i < nCand; i++ {
-		if s.done() {
-			return
-		}
-		ri := (i + offset) % nCand
-		if candidates != nil {
-			ri = candidates[ri]
-		}
-		row := t.rows[ri]
-		// Match row against resolved args, recording new bindings on the
-		// trail.
-		mark := len(s.trail)
-		ok := true
-		for pos, term := range resolved {
-			switch {
-			case term.IsConst():
-				if row[pos] != term.Value {
-					ok = false
-				}
-			default:
-				if v, boundNow := s.binding[term.Value]; boundNow {
-					if v.Value != row[pos] {
-						ok = false
-					}
-				} else {
-					s.bindVar(term.Value, ir.Const(row[pos]))
-				}
-			}
-			if !ok {
-				break
-			}
-		}
-		if ok {
-			s.depth++
-			s.search()
-			s.depth--
-		}
-		s.unwind(mark)
-	}
 }

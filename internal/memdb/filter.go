@@ -116,11 +116,21 @@ type FilterCtx struct {
 	st *ExecState
 
 	// count-join scratch, reused across Holds calls within one execution
-	ctabs    []*Table
-	resolved [][]ir.Term
-	scan     [][]int
-	binding  ir.Substitution
-	trail    []string
+	ctabs []*Table
+	cargs []countArg // every atom's arguments, flattened in atom order
+	cends []int      // atom i's arguments are cargs[cends[i-1]:cends[i]]
+	scan  [][]uint32 // per-depth unindexed-lookup scratch
+	vars  []string   // counting-join variable names; position = local slot
+	binds []uint32   // value ID per local slot
+	bound []bool
+	trail []int32
+}
+
+// countArg is one argument of a counting-join atom: a local variable slot,
+// or (slot < 0) a constant's value ID.
+type countArg struct {
+	slot int32
+	id   uint32
 }
 
 // Slot returns the value bound to a binding slot of the executing plan, or
@@ -130,16 +140,17 @@ func (fc *FilterCtx) Slot(s int32) string {
 	if int(s) >= len(fc.st.binds) || !fc.st.bound[s] {
 		return ""
 	}
-	return fc.st.binds[s]
+	return fc.db.dict.strs[fc.st.binds[s]]
 }
 
 // Count returns the number of valuations of the conjunction — the same
 // figure db.Count reports (complete backtracking assignments; ground atoms
 // contribute their row-match multiplicity) — evaluated lock-free under the
-// read lock the surrounding ExecPlan already holds. Indexes are used when
-// present but never built (building needs the write lock); absent an index
-// the scan fallback reuses per-depth scratch, so repeated Holds calls
-// allocate only on depth growth.
+// read lock the surrounding ExecPlan already holds. Constants resolve to
+// value IDs once per call (unknown ones match nothing) and the join binds
+// IDs. Indexes are used when present but never built (building needs the
+// write lock); absent an index the scan fallback reuses per-depth scratch,
+// so repeated Holds calls allocate only on growth.
 func (fc *FilterCtx) Count(atoms []ir.Atom) (int, error) {
 	n := len(atoms)
 	if n == 0 {
@@ -147,96 +158,112 @@ func (fc *FilterCtx) Count(atoms []ir.Atom) (int, error) {
 	}
 	if cap(fc.ctabs) < n {
 		fc.ctabs = make([]*Table, n)
-		fc.resolved = make([][]ir.Term, n)
-		fc.scan = make([][]int, n)
+		fc.scan = make([][]uint32, n)
 	}
 	tabs := fc.ctabs[:n]
+	fc.cargs, fc.cends, fc.vars = fc.cargs[:0], fc.cends[:0], fc.vars[:0]
 	for i, a := range atoms {
 		t, ok := fc.db.tables[a.Rel]
 		if !ok {
 			return 0, fmt.Errorf("memdb: query references unknown table %s", a.Rel)
 		}
-		if len(a.Args) != len(t.cols) {
-			return 0, fmt.Errorf("memdb: atom %s has arity %d but table has %d columns", a, len(a.Args), len(t.cols))
+		if len(a.Args) != len(t.colNames) {
+			return 0, fmt.Errorf("memdb: atom %s has arity %d but table has %d columns", a, len(a.Args), len(t.colNames))
 		}
 		tabs[i] = t
+		for _, arg := range a.Args {
+			if arg.IsConst() {
+				fc.cargs = append(fc.cargs, countArg{slot: -1, id: fc.db.dict.lookup(arg.Value)})
+			} else {
+				fc.cargs = append(fc.cargs, countArg{slot: fc.varSlot(arg.Value)})
+			}
+		}
+		fc.cends = append(fc.cends, len(fc.cargs))
 	}
-	if fc.binding == nil {
-		fc.binding = make(ir.Substitution)
+	if cap(fc.binds) < len(fc.vars) {
+		fc.binds = make([]uint32, len(fc.vars))
+		fc.bound = make([]bool, len(fc.vars))
 	}
-	return fc.countRec(atoms, tabs, 0), nil
+	fc.binds, fc.bound = fc.binds[:len(fc.vars)], fc.bound[:len(fc.vars)]
+	for i := range fc.bound {
+		fc.bound[i] = false
+	}
+	return fc.countRec(tabs, 0), nil
+}
+
+// varSlot returns the local slot of a counting-join variable, assigning the
+// next one on first sight. Constraint conjunctions carry a handful of
+// variables, so a linear scan beats a map and allocates nothing.
+func (fc *FilterCtx) varSlot(name string) int32 {
+	for i, v := range fc.vars {
+		if v == name {
+			return int32(i)
+		}
+	}
+	fc.vars = append(fc.vars, name)
+	return int32(len(fc.vars) - 1)
 }
 
 // countRec is the counting join: atom order as given (the count of complete
 // assignments is join-order invariant), candidates from lookupEq on the
 // first bound position (index when present, reusable scan otherwise).
-func (fc *FilterCtx) countRec(atoms []ir.Atom, tabs []*Table, depth int) int {
-	if depth == len(atoms) {
+func (fc *FilterCtx) countRec(tabs []*Table, depth int) int {
+	if depth == len(tabs) {
 		return 1
 	}
-	a := atoms[depth]
 	t := tabs[depth]
-	if fc.resolved[depth] == nil {
-		fc.resolved[depth] = make([]ir.Term, 0, len(a.Args))
+	lo := 0
+	if depth > 0 {
+		lo = fc.cends[depth-1]
 	}
-	resolved := fc.resolved[depth][:0]
-	firstBound := -1
-	for i, arg := range a.Args {
-		if arg.IsVar() {
-			if v, ok := fc.binding[arg.Value]; ok {
-				resolved = append(resolved, v)
-			} else {
-				resolved = append(resolved, arg)
-				continue
-			}
-		} else {
-			resolved = append(resolved, arg)
-		}
-		if firstBound < 0 {
-			firstBound = i
-		}
-	}
-	fc.resolved[depth] = resolved // keep grown capacity
+	args := fc.cargs[lo:fc.cends[depth]]
 
-	var candidates []int
-	nCand := 0
-	if firstBound >= 0 {
-		candidates, fc.scan[depth] = t.lookupEq(firstBound, resolved[firstBound].Value, fc.scan[depth])
+	var candidates []uint32
+	nCand := t.Len()
+	for pos, a := range args {
+		if a.slot >= 0 && !fc.bound[a.slot] {
+			continue
+		}
+		id := a.id
+		if a.slot >= 0 {
+			id = fc.binds[a.slot]
+		}
+		candidates, fc.scan[depth] = t.lookupEq(pos, id, fc.scan[depth])
+		if candidates == nil {
+			return 0
+		}
 		nCand = len(candidates)
-	} else {
-		nCand = len(t.rows)
+		break
 	}
 	total := 0
 	for i := 0; i < nCand; i++ {
 		ri := i
 		if candidates != nil {
-			ri = candidates[i]
+			ri = int(candidates[i])
 		}
-		row := t.rows[ri]
 		mark := len(fc.trail)
 		ok := true
-		for pos, term := range resolved {
-			if term.IsConst() {
-				if row[pos] != term.Value {
-					ok = false
-				}
-			} else if v, boundNow := fc.binding[term.Value]; boundNow {
-				if v.Value != row[pos] {
-					ok = false
-				}
-			} else {
-				fc.binding[term.Value] = ir.Const(row[pos])
-				fc.trail = append(fc.trail, term.Value)
+		for pos, a := range args {
+			v := t.cols[pos][ri]
+			switch {
+			case a.slot < 0:
+				ok = v == a.id
+			case fc.bound[a.slot]:
+				ok = v == fc.binds[a.slot]
+			default:
+				fc.binds[a.slot] = v
+				fc.bound[a.slot] = true
+				fc.trail = append(fc.trail, a.slot)
 			}
 			if !ok {
 				break
 			}
 		}
 		if ok {
-			total += fc.countRec(atoms, tabs, depth+1)
+			total += fc.countRec(tabs, depth+1)
 		}
 		for j := len(fc.trail) - 1; j >= mark; j-- {
-			delete(fc.binding, fc.trail[j])
+			fc.bound[fc.trail[j]] = false
 		}
 		fc.trail = fc.trail[:mark]
 	}

@@ -11,13 +11,12 @@ import (
 // join order and index-probe positions fixed up front) and an
 // allocation-free execute step over slice-backed bindings.
 //
-// The split exploits a property of the backtracking join in
-// EvalConjunctiveLegacy: its atom-selection rule (cheapest estimated scan
-// first — table size discounted per bound argument occurrence, ties by
-// more bound occurrences then position) depends only on WHICH argument
-// positions are constants or already-bound variables plus static table row
-// counts — never on row values — because choosing an atom binds all of its
-// variables before the next selection. The entire join order, and the
+// The split exploits a property of the backtracking join's atom-selection
+// rule (cheapest estimated scan first — table size discounted per bound
+// argument occurrence, ties by more bound occurrences then position): it
+// depends only on WHICH argument positions are constants or already-bound
+// variables plus static table row counts — never on row values — because
+// choosing an atom binds all of its variables before the next selection. The entire join order, and the
 // argument position each atom will probe through a hash index, are
 // therefore known at compile time. A Plan records that order; execution is
 // a tight loop over int-indexed slots with a trail for backtracking,
@@ -40,8 +39,8 @@ import (
 // match, a parameter (late-bound constant), or a binding slot to compare
 // against / fill.
 type planArg struct {
-	slot int32  // ≥ 0 binding slot; -1 inline constant; ≤ -2 parameter index -slot-2
-	cval string // constant value when slot == -1
+	slot int32 // ≥ 0 binding slot; -1 inline constant; ≤ -2 parameter index -slot-2
+	cidx int32 // index into Plan.consts when slot == -1
 }
 
 // planAtom is one atom of a compiled plan, in execution order.
@@ -71,17 +70,22 @@ type Plan struct {
 	atoms   []planAtom
 	nSlots  int
 	nParams int // parameter count; execution needs at least this many values
-	outs    []planOut
+	// consts are the inline constants, kept as strings: a plan outlives any
+	// one DB state, so each execution resolves them through the dictionary
+	// (a constant unknown at compile time may have been inserted since).
+	consts []string
+	outs   []planOut
 	// empty marks a plan that is statically unsatisfiable: inconsistent
 	// equality constraints, or an equality class whose representative is
-	// never bound by any atom (the legacy evaluator filtered every valuation
-	// in that case; the compiled form skips the join entirely). Execution
-	// still resolves and validates tables — unknown-table and arity errors
-	// must not be masked by an unsatisfiable ϕU — except when unchecked.
+	// never bound by any atom (the reference evaluator filters every
+	// valuation in that case; the compiled form skips the join entirely).
+	// Execution still resolves and validates tables — unknown-table and
+	// arity errors must not be masked by an unsatisfiable ϕU — except when
+	// unchecked.
 	empty bool
 	// unchecked marks an empty plan whose atoms must NOT be validated at
-	// execution: inconsistent equalities, where the legacy evaluator returns
-	// "no valuations" before ever resolving tables.
+	// execution: inconsistent equalities, where the reference evaluator
+	// returns "no valuations" before ever resolving tables.
 	unchecked bool
 	// filters are residual predicates pushed below the join (filter.go),
 	// each scheduled at the earliest level binding all its slots. A filtered
@@ -114,6 +118,7 @@ func (p *Plan) NumParams() int { return p.nParams }
 func (p *Plan) detach() *Plan {
 	np := &Plan{nSlots: p.nSlots, nParams: p.nParams, outs: p.outs, empty: p.empty, unchecked: p.unchecked}
 	np.filters = append([]planFilter(nil), p.filters...)
+	np.consts = append([]string(nil), p.consts...)
 	np.atoms = append(make([]planAtom, 0, len(p.atoms)), p.atoms...)
 	nArgs := 0
 	for i := range p.atoms {
@@ -142,10 +147,11 @@ func (p *Plan) detach() *Plan {
 type PlanBuilder struct {
 	plan Plan
 
-	rels  []string
-	origs []ir.Atom
-	bound []int32 // arg index ranges: atom i's args are argBuf[bound[i]:bound[i+1]]
-	args  []planArg
+	rels   []string
+	origs  []ir.Atom
+	bound  []int32 // arg index ranges: atom i's args are argBuf[bound[i]:bound[i+1]]
+	args   []planArg
+	consts []string
 
 	// join-order simulation scratch
 	used      []bool
@@ -160,6 +166,7 @@ func (b *PlanBuilder) Reset() {
 	b.origs = b.origs[:0]
 	b.bound = b.bound[:0]
 	b.args = b.args[:0]
+	b.consts = b.consts[:0]
 	b.plan.atoms = b.plan.atoms[:0]
 	b.plan.outs = nil
 	b.plan.filters = b.plan.filters[:0]
@@ -178,7 +185,8 @@ func (b *PlanBuilder) StartAtom(rel string, orig ir.Atom) {
 
 // AddConst appends a constant argument to the current atom.
 func (b *PlanBuilder) AddConst(v string) {
-	b.args = append(b.args, planArg{slot: -1, cval: v})
+	b.args = append(b.args, planArg{slot: -1, cidx: int32(len(b.consts))})
+	b.consts = append(b.consts, v)
 }
 
 // AddVar appends a binding-slot argument to the current atom.
@@ -198,9 +206,9 @@ func (b *PlanBuilder) AddParam() int {
 
 // planCost is the atom-selection priority shared — by construction, not by
 // accident — between the compile-time join-order simulation below and the
-// legacy evaluator's dynamic selection (joinState.search): the estimated
-// candidate count of scanning the atom next, its table size discounted 8×
-// per bound argument occurrence. The selection picks the lowest cost, ties
+// reference evaluator's dynamic selection (the tests' joinState.search): the
+// estimated candidate count of scanning the atom next, its table size
+// discounted 8× per bound argument occurrence. The selection picks the lowest cost, ties
 // broken by more bound occurrences, then by position. With equal table
 // sizes this degrades to the old most-bound-first rule; with skewed sizes
 // it stops baking a large outer scan into the order just because the big
@@ -222,6 +230,7 @@ func (b *PlanBuilder) Finish(db *DB, nSlots int) *Plan {
 	n := len(b.rels)
 	b.bound = append(b.bound, int32(len(b.args)))
 	b.plan.nSlots = nSlots
+	b.plan.consts = b.consts
 	if n == 1 {
 		// Trivial single-atom plan: the join-order simulation is skipped —
 		// the only atom runs first and probes its first constant position
@@ -262,7 +271,7 @@ func (b *PlanBuilder) Finish(db *DB, nSlots int) *Plan {
 		db.mu.RLock()
 		for i, rel := range b.rels {
 			if t := db.tables[rel]; t != nil {
-				sizes[i] = len(t.rows)
+				sizes[i] = t.Len()
 			} else {
 				sizes[i] = 0
 			}
@@ -274,7 +283,7 @@ func (b *PlanBuilder) Finish(db *DB, nSlots int) *Plan {
 		}
 	}
 
-	// Simulate the legacy selection rule exactly: repeatedly pick the unused
+	// Simulate the reference selection rule exactly: repeatedly pick the unused
 	// atom with the lowest planCost (ties: most bound occurrences, then
 	// first wins), probe its first bound position, then mark its slots bound
 	// — bumping the occurrence counts of the remaining atoms — and repeat.
@@ -385,8 +394,8 @@ func (db *DB) CompilePlan(atoms []ir.Atom, eqs []ir.Equality) *Plan {
 		s, ok := slots[rep.Value]
 		if !ok {
 			// The class representative never occurs in the atoms, so no
-			// valuation can bind it: statically empty (the legacy evaluator
-			// reached the same outcome by filtering every result row).
+			// valuation can bind it: statically empty (the reference evaluator
+			// reaches the same outcome by filtering every result row).
 			p.empty = true
 			return p
 		}
@@ -402,12 +411,14 @@ func (db *DB) CompilePlan(atoms []ir.Atom, eqs []ir.Equality) *Plan {
 // distinct states.
 type ExecState struct {
 	tabs   []*Table
-	binds  []string
+	binds  []uint32 // value ID per binding slot
 	bound  []bool
 	trail  []int32
 	res    [][]string
 	nres   int
 	params []string
+	cvals  []uint32 // the plan's inline constants as value IDs, this execution
+	pvals  []uint32 // params as value IDs, this execution
 }
 
 // Row returns result row i (slot-indexed values). Valid until the next
@@ -425,7 +436,13 @@ func (st *ExecState) SetParams(vals []string) { st.params = vals }
 // argument positions the plan declares it will probe — never-probed
 // positions are left unindexed. opt.Rand, when non-nil, randomises each
 // join level's candidate start offset (the CHOOSE 1 semantics), drawing
-// exactly as the legacy evaluator does.
+// exactly as the reference evaluator does.
+//
+// The join runs on value IDs: the plan's constants and the state's
+// parameters are looked up in the dictionary once, here (a value the
+// database has never seen resolves to noID and matches nothing — it is not
+// interned), and result rows are converted back to strings as they are
+// emitted, under the same read lock.
 func (db *DB) ExecPlan(p *Plan, st *ExecState, opt EvalOptions) (int, error) {
 	st.nres = 0
 	if p.nParams > len(st.params) {
@@ -440,7 +457,7 @@ func (db *DB) ExecPlan(p *Plan, st *ExecState, opt EvalOptions) (int, error) {
 			return 0, nil
 		}
 		// Statically no valuations, but table references still validate —
-		// exactly as the legacy evaluator resolves tables before its join
+		// exactly as the reference evaluator resolves tables before its join
 		// filters every row out.
 		db.mu.RLock()
 		err := db.resolvePlanTables(p, st)
@@ -456,11 +473,9 @@ func (db *DB) ExecPlan(p *Plan, st *ExecState, opt EvalOptions) (int, error) {
 		}
 		missing := false
 		for i := range p.atoms {
-			if pp := p.atoms[i].probePos; pp >= 0 {
-				if _, ok := st.tabs[i].indexes[pp]; !ok {
-					missing = true
-					break
-				}
+			if pp := p.atoms[i].probePos; pp >= 0 && st.tabs[i].indexes[pp] == nil {
+				missing = true
+				break
 			}
 		}
 		if !missing {
@@ -479,12 +494,8 @@ func (db *DB) ExecPlan(p *Plan, st *ExecState, opt EvalOptions) (int, error) {
 			return 0, err
 		}
 		for i := range p.atoms {
-			pa := &p.atoms[i]
-			if pa.probePos < 0 {
-				continue
-			}
-			if _, ok := st.tabs[i].indexes[pa.probePos]; !ok {
-				st.tabs[i].buildIndex(pa.probePos)
+			if pp := p.atoms[i].probePos; pp >= 0 && st.tabs[i].indexes[pp] == nil {
+				st.tabs[i].buildIndex(pp)
 			}
 		}
 		db.mu.Unlock()
@@ -492,8 +503,10 @@ func (db *DB) ExecPlan(p *Plan, st *ExecState, opt EvalOptions) (int, error) {
 	}
 	defer db.mu.RUnlock()
 
+	st.cvals = db.dict.lookupAll(st.cvals[:0], p.consts)
+	st.pvals = db.dict.lookupAll(st.pvals[:0], st.params[:p.nParams])
 	if cap(st.binds) < p.nSlots {
-		st.binds = make([]string, p.nSlots)
+		st.binds = make([]uint32, p.nSlots)
 		st.bound = make([]bool, p.nSlots)
 	}
 	st.binds = st.binds[:p.nSlots]
@@ -503,7 +516,7 @@ func (db *DB) ExecPlan(p *Plan, st *ExecState, opt EvalOptions) (int, error) {
 	}
 	st.trail = st.trail[:0]
 
-	e := planExec{p: p, st: st, opt: opt}
+	e := planExec{p: p, st: st, opt: opt, strs: db.dict.strs}
 	if len(p.filters) > 0 {
 		e.fc = &FilterCtx{db: db, st: st}
 		// Slot-free filters (after == -1) gate the whole join once.
@@ -516,7 +529,7 @@ func (db *DB) ExecPlan(p *Plan, st *ExecState, opt EvalOptions) (int, error) {
 }
 
 // resolvePlanTables fills st.tabs (plan order) and validates arities,
-// reporting errors in the original atom order for parity with the legacy
+// reporting errors in the original atom order for parity with the reference
 // evaluator. Caller holds at least the read lock.
 func (db *DB) resolvePlanTables(p *Plan, st *ExecState) error {
 	var firstErr error
@@ -531,10 +544,10 @@ func (db *DB) resolvePlanTables(p *Plan, st *ExecState) error {
 			}
 			continue
 		}
-		if len(pa.args) != len(t.cols) {
+		if len(pa.args) != len(t.colNames) {
 			if pa.origIdx < errIdx {
 				errIdx = pa.origIdx
-				firstErr = fmt.Errorf("memdb: atom %s has arity %d but table has %d columns", pa.orig, len(pa.args), len(t.cols))
+				firstErr = fmt.Errorf("memdb: atom %s has arity %d but table has %d columns", pa.orig, len(pa.args), len(t.colNames))
 			}
 			continue
 		}
@@ -547,11 +560,12 @@ func (db *DB) resolvePlanTables(p *Plan, st *ExecState) error {
 // precompiled atom order. All state lives in the (reusable) ExecState, so
 // the search allocates nothing beyond result-row growth on first use.
 type planExec struct {
-	p   *Plan
-	st  *ExecState
-	opt EvalOptions
-	fc  *FilterCtx // non-nil iff the plan carries residual filters
-	err error      // first filter error; aborts the search
+	p    *Plan
+	st   *ExecState
+	opt  EvalOptions
+	strs []string   // the dictionary's ID → string view, stable under the held read lock
+	fc   *FilterCtx // non-nil iff the plan carries residual filters
+	err  error      // first filter error; aborts the search
 }
 
 func (e *planExec) done() bool {
@@ -579,6 +593,14 @@ func (e *planExec) runFilters(depth int) bool {
 	return true
 }
 
+// argID returns the value ID a constant or parameter argument must match.
+func (st *ExecState) argID(arg *planArg) uint32 {
+	if arg.slot == -1 {
+		return st.cvals[arg.cidx]
+	}
+	return st.pvals[-arg.slot-2]
+}
+
 func (e *planExec) search(depth int) {
 	if e.done() {
 		return
@@ -591,23 +613,20 @@ func (e *planExec) search(depth int) {
 	t := e.st.tabs[depth]
 	st := e.st
 
-	var candidates []int
+	var candidates []uint32
 	nCand := 0
 	if pa.probePos >= 0 {
-		arg := pa.args[pa.probePos]
-		var v string
-		switch {
-		case arg.slot >= 0:
+		arg := &pa.args[pa.probePos]
+		var v uint32
+		if arg.slot >= 0 {
 			v = st.binds[arg.slot]
-		case arg.slot == -1:
-			v = arg.cval
-		default:
-			v = st.params[-arg.slot-2]
+		} else {
+			v = st.argID(arg)
 		}
-		candidates = t.indexes[pa.probePos][v]
+		candidates = t.indexes[pa.probePos].lookup(v)
 		nCand = len(candidates)
 	} else {
-		nCand = len(t.rows)
+		nCand = t.Len()
 	}
 	offset := 0
 	if e.opt.Rand != nil && nCand > 1 {
@@ -619,28 +638,20 @@ func (e *planExec) search(depth int) {
 		}
 		ri := (i + offset) % nCand
 		if candidates != nil {
-			ri = candidates[ri]
+			ri = int(candidates[ri])
 		}
-		row := t.rows[ri]
 		mark := len(st.trail)
 		ok := true
 		for pos := range pa.args {
 			arg := &pa.args[pos]
+			v := t.cols[pos][ri]
 			switch {
 			case arg.slot < 0:
-				v := arg.cval
-				if arg.slot < -1 {
-					v = st.params[-arg.slot-2]
-				}
-				if row[pos] != v {
-					ok = false
-				}
+				ok = v == st.argID(arg)
 			case st.bound[arg.slot]:
-				if st.binds[arg.slot] != row[pos] {
-					ok = false
-				}
+				ok = v == st.binds[arg.slot]
 			default:
-				st.binds[arg.slot] = row[pos]
+				st.binds[arg.slot] = v
 				st.bound[arg.slot] = true
 				st.trail = append(st.trail, arg.slot)
 			}
@@ -658,8 +669,8 @@ func (e *planExec) search(depth int) {
 	}
 }
 
-// emit copies the current bindings into the next result row, reusing row
-// buffers across executions.
+// emit materialises the current bindings as the next result row of strings,
+// reusing row buffers across executions.
 func (e *planExec) emit() {
 	st := e.st
 	if len(st.res) <= st.nres {
@@ -671,7 +682,13 @@ func (e *planExec) emit() {
 	} else {
 		row = row[:e.p.nSlots]
 	}
-	copy(row, st.binds)
+	for s := range row {
+		if st.bound[s] {
+			row[s] = e.strs[st.binds[s]]
+		} else {
+			row[s] = ""
+		}
+	}
 	st.res[st.nres] = row
 	st.nres++
 }

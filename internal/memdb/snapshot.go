@@ -2,100 +2,334 @@ package memdb
 
 import (
 	"bufio"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
+	"hash/crc32"
 	"io"
 	"os"
-	"sort"
 )
 
 // ErrSnapshotVersion reports a snapshot written by an incompatible format
-// version. Recovery code and operators can distinguish version skew from
-// corruption with errors.Is(err, ErrSnapshotVersion).
+// version — including the gob form that predates the dictionary layout, and
+// anything else that does not open with this format's magic. Recovery code
+// and operators can distinguish version skew from corruption with
+// errors.Is(err, ErrSnapshotVersion).
 var ErrSnapshotVersion = errors.New("memdb: unsupported snapshot version")
 
-// snapshot is the on-disk representation of a database.
-type snapshot struct {
-	Version int
-	Tables  []tableSnapshot
+// The format is laid out in the package comment.
+const (
+	snapshotMagic   = "MDBS"
+	snapshotVersion = 2
+	// snapshotChunk is the I/O unit of both directions. Reading allocates at
+	// most one chunk ahead of the bytes actually present, so a forged length
+	// field costs a short read, not memory.
+	snapshotChunk = 64 << 10
+)
+
+var snapshotCRC = crc32.MakeTable(crc32.Castagnoli)
+
+// snapWriter streams little-endian fields through one reusable chunk,
+// folding every byte into the trailer checksum. The first write error
+// sticks; later calls are no-ops.
+type snapWriter struct {
+	w   io.Writer
+	crc hash.Hash32
+	buf []byte
+	err error
 }
 
-type tableSnapshot struct {
-	Name    string
-	Cols    []string
-	Rows    []Row
-	Indexed []string // column names with hash indexes to rebuild on load
+func (sw *snapWriter) flush() {
+	if sw.err == nil && len(sw.buf) > 0 {
+		sw.crc.Write(sw.buf)
+		_, sw.err = sw.w.Write(sw.buf)
+	}
+	sw.buf = sw.buf[:0]
 }
 
-const snapshotVersion = 1
+func (sw *snapWriter) u32(v uint32) {
+	if len(sw.buf)+4 > cap(sw.buf) {
+		sw.flush()
+	}
+	sw.buf = binary.LittleEndian.AppendUint32(sw.buf, v)
+}
 
-// WriteSnapshot serialises the whole database to w (gob encoding). The
-// snapshot is taken under the read lock, so it is consistent with respect
-// to concurrent writers.
+func (sw *snapWriter) str(s string) {
+	sw.u32(uint32(len(s)))
+	for len(s) > 0 {
+		if len(sw.buf) == cap(sw.buf) {
+			sw.flush()
+		}
+		n := copy(sw.buf[len(sw.buf):cap(sw.buf)], s)
+		sw.buf = sw.buf[:len(sw.buf)+n]
+		s = s[n:]
+	}
+}
+
+// WriteSnapshot serialises the whole database to w: the dictionary, each
+// table's raw ID columns, and which columns are indexed. The snapshot is
+// taken under the read lock, so it is consistent with respect to
+// concurrent writers.
 func (db *DB) WriteSnapshot(w io.Writer) error {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	snap := snapshot{Version: snapshotVersion}
-	names := make([]string, 0, len(db.tables))
-	for n := range db.tables {
-		names = append(names, n)
+	sw := &snapWriter{w: w, crc: crc32.New(snapshotCRC), buf: make([]byte, 0, snapshotChunk)}
+	sw.buf = append(sw.buf, snapshotMagic...)
+	sw.u32(snapshotVersion)
+	sw.u32(uint32(len(db.dict.strs)))
+	for _, s := range db.dict.strs {
+		sw.str(s)
 	}
-	sort.Strings(names)
-	for _, n := range names {
-		t := db.tables[n]
-		ts := tableSnapshot{Name: t.name, Cols: t.cols, Rows: t.rows}
-		for col := range t.indexes {
-			ts.Indexed = append(ts.Indexed, t.cols[col])
+	names := db.tableNamesLocked()
+	sw.u32(uint32(len(names)))
+	for _, name := range names {
+		t := db.tables[name]
+		sw.str(t.name)
+		sw.u32(uint32(len(t.colNames)))
+		for _, c := range t.colNames {
+			sw.str(c)
 		}
-		sort.Strings(ts.Indexed)
-		snap.Tables = append(snap.Tables, ts)
+		sw.u32(uint32(t.Len()))
+		for _, col := range t.cols {
+			for _, id := range col {
+				sw.u32(id)
+			}
+		}
+		indexed := 0
+		for _, ix := range t.indexes {
+			if ix != nil {
+				indexed++
+			}
+		}
+		sw.u32(uint32(indexed))
+		for col, ix := range t.indexes {
+			if ix != nil {
+				sw.u32(uint32(col))
+			}
+		}
 	}
-	return gob.NewEncoder(w).Encode(snap)
+	sw.flush()
+	if sw.err != nil {
+		return sw.err
+	}
+	_, err := w.Write(binary.LittleEndian.AppendUint32(nil, sw.crc.Sum32()))
+	return err
+}
+
+// snapReader is the decoding mirror of snapWriter. It reads exactly the
+// snapshot's bytes from r (never past the trailer, so a snapshot can be
+// embedded in a larger stream) and folds them into the checksum.
+type snapReader struct {
+	r   io.Reader
+	crc hash.Hash32
+	buf []byte
+
+	dict   dict
+	tables map[string]*Table
+}
+
+// next returns the next n ≤ snapshotChunk bytes, valid until the next call.
+func (sr *snapReader) next(n int) ([]byte, error) {
+	b := sr.buf[:n]
+	if _, err := io.ReadFull(sr.r, b); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, err
+	}
+	sr.crc.Write(b)
+	return b, nil
+}
+
+func (sr *snapReader) u32() (uint32, error) {
+	b, err := sr.next(4)
+	if err != nil {
+		return 0, err
+	}
+	return binary.LittleEndian.Uint32(b), nil
+}
+
+func (sr *snapReader) str() (string, error) {
+	n, err := sr.u32()
+	if err != nil {
+		return "", err
+	}
+	if n <= snapshotChunk {
+		b, err := sr.next(int(n))
+		return string(b), err
+	}
+	// A long value grows with the bytes that actually arrive.
+	var out []byte
+	for rem := int(n); rem > 0; {
+		b, err := sr.next(min(rem, snapshotChunk))
+		if err != nil {
+			return "", err
+		}
+		out = append(out, b...)
+		rem -= len(b)
+	}
+	return string(out), nil
+}
+
+// column reads n raw value IDs, each of which must name a dictionary entry.
+func (sr *snapReader) column(n uint32) ([]uint32, error) {
+	var col []uint32
+	for rem := int(n); rem > 0; {
+		k := min(rem, snapshotChunk/4)
+		b, err := sr.next(4 * k)
+		if err != nil {
+			return nil, err
+		}
+		for ; len(b) > 0; b = b[4:] {
+			id := binary.LittleEndian.Uint32(b)
+			if int(id) >= len(sr.dict.strs) {
+				return nil, fmt.Errorf("value ID %d outside the %d-entry dictionary", id, len(sr.dict.strs))
+			}
+			col = append(col, id)
+		}
+		rem -= k
+	}
+	return col, nil
 }
 
 // ReadSnapshot loads a snapshot into an empty database. It fails if the
-// database already contains tables, to prevent silent merging.
+// database already contains tables, to prevent silent merging. The input
+// is untrusted: anything other than a complete, checksummed v2 snapshot is
+// an error (ErrSnapshotVersion when it is not this format at all) and
+// leaves the database empty.
 func (db *DB) ReadSnapshot(r io.Reader) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if len(db.tables) != 0 {
 		return fmt.Errorf("memdb: ReadSnapshot requires an empty database (%d tables present)", len(db.tables))
 	}
-	var snap snapshot
-	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
+	sr := &snapReader{
+		r: r, crc: crc32.New(snapshotCRC), buf: make([]byte, snapshotChunk),
+		dict: dict{ids: make(map[string]uint32)}, tables: make(map[string]*Table),
+	}
+	if err := sr.decode(); err != nil {
+		if errors.Is(err, ErrSnapshotVersion) {
+			return err
+		}
 		return fmt.Errorf("memdb: decode snapshot: %w", err)
 	}
-	if snap.Version != snapshotVersion {
-		return fmt.Errorf("%w: %d (have %d)", ErrSnapshotVersion, snap.Version, snapshotVersion)
-	}
-	for _, ts := range snap.Tables {
-		if len(ts.Cols) == 0 {
-			return fmt.Errorf("memdb: snapshot table %s has no columns", ts.Name)
-		}
-		t := &Table{
-			name:     ts.Name,
-			cols:     append([]string(nil), ts.Cols...),
-			rows:     ts.Rows,
-			indexes:  make(map[int]map[string][]int),
-			planRows: len(ts.Rows),
-		}
-		for _, r := range t.rows {
-			if len(r) != len(t.cols) {
-				return fmt.Errorf("memdb: snapshot table %s has a row of arity %d (want %d)", ts.Name, len(r), len(t.cols))
-			}
-		}
-		for _, colName := range ts.Indexed {
-			for i, c := range t.cols {
-				if c == colName {
-					t.buildIndex(i)
-				}
-			}
-		}
-		db.tables[ts.Name] = t
-	}
+	db.dict, db.tables = sr.dict, sr.tables
 	db.statsEpoch.Add(1)
 	return nil
+}
+
+// decode reads one whole snapshot into sr.dict and sr.tables.
+func (sr *snapReader) decode() error {
+	hdr, err := sr.next(len(snapshotMagic) + 4)
+	if err != nil {
+		return err
+	}
+	if string(hdr[:len(snapshotMagic)]) != snapshotMagic {
+		return fmt.Errorf("%w: no %q magic", ErrSnapshotVersion, snapshotMagic)
+	}
+	if v := binary.LittleEndian.Uint32(hdr[len(snapshotMagic):]); v != snapshotVersion {
+		return fmt.Errorf("%w: %d (have %d)", ErrSnapshotVersion, v, snapshotVersion)
+	}
+
+	nIDs, err := sr.u32()
+	if err != nil {
+		return err
+	}
+	if nIDs == noID {
+		return errors.New("dictionary too large")
+	}
+	for id := uint32(0); id < nIDs; id++ {
+		s, err := sr.str()
+		if err != nil {
+			return err
+		}
+		if _, dup := sr.dict.ids[s]; dup {
+			return fmt.Errorf("dictionary repeats %q", s)
+		}
+		sr.dict.ids[s] = id
+		sr.dict.strs = append(sr.dict.strs, s)
+	}
+
+	nTables, err := sr.u32()
+	if err != nil {
+		return err
+	}
+	for ; nTables > 0; nTables-- {
+		t, err := sr.table()
+		if err != nil {
+			return err
+		}
+		if _, dup := sr.tables[t.name]; dup {
+			return fmt.Errorf("table %s appears twice", t.name)
+		}
+		sr.tables[t.name] = t
+	}
+
+	sum := sr.crc.Sum32()
+	var trailer [4]byte
+	if _, err := io.ReadFull(sr.r, trailer[:]); err != nil {
+		return fmt.Errorf("checksum trailer: %w", err)
+	}
+	if binary.LittleEndian.Uint32(trailer[:]) != sum {
+		return errors.New("checksum mismatch")
+	}
+	return nil
+}
+
+// table decodes one table and rebuilds its indexes.
+func (sr *snapReader) table() (*Table, error) {
+	name, err := sr.str()
+	if err != nil {
+		return nil, err
+	}
+	nCols, err := sr.u32()
+	if err != nil {
+		return nil, err
+	}
+	if nCols == 0 {
+		return nil, fmt.Errorf("table %s has no columns", name)
+	}
+	var colNames []string
+	seen := map[string]bool{}
+	for ; nCols > 0; nCols-- {
+		c, err := sr.str()
+		if err != nil {
+			return nil, err
+		}
+		if seen[c] {
+			return nil, fmt.Errorf("table %s: duplicate column %s", name, c)
+		}
+		seen[c] = true
+		colNames = append(colNames, c)
+	}
+	t := newTable(name, colNames)
+	nRows, err := sr.u32()
+	if err != nil {
+		return nil, err
+	}
+	for c := range t.cols {
+		if t.cols[c], err = sr.column(nRows); err != nil {
+			return nil, fmt.Errorf("table %s: %w", name, err)
+		}
+	}
+	t.planRows = int(nRows)
+	nIndexed, err := sr.u32()
+	if err != nil {
+		return nil, err
+	}
+	for prev := -1; nIndexed > 0; nIndexed-- {
+		col, err := sr.u32()
+		if err != nil {
+			return nil, err
+		}
+		if int(col) <= prev || int(col) >= len(t.cols) {
+			return nil, fmt.Errorf("table %s: bad indexed column %d", name, col)
+		}
+		prev = int(col)
+		t.buildIndex(int(col))
+	}
+	return t, nil
 }
 
 // SaveFile writes a snapshot to path atomically (write to a temp file in
@@ -106,12 +340,7 @@ func (db *DB) SaveFile(path string) error {
 		return err
 	}
 	defer os.Remove(tmp.Name())
-	bw := bufio.NewWriter(tmp)
-	if err := db.WriteSnapshot(bw); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := bw.Flush(); err != nil {
+	if err := db.WriteSnapshot(tmp); err != nil {
 		tmp.Close()
 		return err
 	}

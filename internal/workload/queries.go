@@ -26,20 +26,28 @@ func PopulateDB(db *memdb.DB, g *Graph) error {
 	if err := db.CreateTable(UserRel, "u", "city"); err != nil {
 		return err
 	}
-	var frows [][]string
-	urows := make([][]string, 0, g.N)
-	for u := 0; u < g.N; u++ {
-		un := UserName(u)
-		urows = append(urows, []string{un, g.Airport(int(g.Hometown[u]))})
-		for _, f := range g.Friends(u) {
-			frows = append(frows, []string{un, UserName(int(f))})
+	// One name per user, and per user one BulkInsert from a reused buffer
+	// (memdb reads rows, it does not keep them): the load leaves no per-edge
+	// garbage behind to inflate the process's peak.
+	names := make([]string, g.N)
+	for u := range names {
+		names[u] = UserName(u)
+	}
+	var rows [][]string
+	for u, un := range names {
+		friends := g.Friends(u)
+		for len(rows) < len(friends) {
+			rows = append(rows, make([]string, 2))
 		}
-	}
-	if err := db.BulkInsert(FriendsRel, frows); err != nil {
-		return err
-	}
-	if err := db.BulkInsert(UserRel, urows); err != nil {
-		return err
+		for i, f := range friends {
+			rows[i][0], rows[i][1] = un, names[f]
+		}
+		if err := db.BulkInsert(FriendsRel, rows[:len(friends)]); err != nil {
+			return err
+		}
+		if err := db.Insert(UserRel, un, g.Airport(int(g.Hometown[u]))); err != nil {
+			return err
+		}
 	}
 	if err := db.CreateIndex(FriendsRel, "u1"); err != nil {
 		return err
