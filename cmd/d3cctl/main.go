@@ -7,7 +7,6 @@
 // Commands:
 //
 //	.batch q1; q2; …   submit several IR queries as one engine batch
-//	.bulk q1; q2; …    submit several IR queries as one unordered bulk load
 //	.subscribe q1; q2; …  submit a query set as one subscription: all results
 //	                   stream back on one multiplexed channel, surviving
 //	                   reconnects with exactly one outcome per query
@@ -93,7 +92,7 @@ func main() {
 		go func() { results <- <-ch }()
 	}
 
-	submitMany := func(text, cmd string, send func([]server.BatchQuery) ([]server.BatchHandle, error)) {
+	submitBatch := func(text string) {
 		var queries []server.BatchQuery
 		for _, part := range strings.Split(text, ";") {
 			if part = strings.TrimSpace(part); part != "" {
@@ -101,10 +100,10 @@ func main() {
 			}
 		}
 		if len(queries) == 0 {
-			fmt.Printf("usage: .%s {C} H :- B; {C} H :- B; …\n", cmd)
+			fmt.Println("usage: .batch {C} H :- B; {C} H :- B; …")
 			return
 		}
-		handles, err := send(queries)
+		handles, err := c.SubmitBatch(queries)
 		if err != nil {
 			fmt.Printf("error: %s\n", describe(err))
 			return
@@ -222,7 +221,7 @@ func main() {
 		case line == ".help":
 			fmt.Println("IR query:  {R(Jerry, x)} R(Kramer, x) :- Flights(x, Paris)")
 			fmt.Println("SQL query: SELECT 'Kramer', fno INTO ANSWER R WHERE … CHOOSE 1 (multiline; ends at CHOOSE or blank line)")
-			fmt.Println("commands:  .load <ddl/dml statements;…>  .batch <ir; ir; …>  .bulk <ir; ir; …>  .subscribe <ir; ir; …>  .prepare <template>  .exec <N> <v1; v2; …>  .flush  .checkpoint  .stats  .faults  .quit")
+			fmt.Println("commands:  .load <ddl/dml statements;…>  .batch <ir; ir; …>  .subscribe <ir; ir; …>  .prepare <template>  .exec <N> <v1; v2; …>  .flush  .checkpoint  .stats  .faults  .quit")
 		case strings.HasPrefix(line, ".prepare "):
 			prepare(strings.TrimPrefix(line, ".prepare "))
 		case strings.HasPrefix(line, ".exec "):
@@ -230,11 +229,7 @@ func main() {
 		case strings.HasPrefix(line, ".subscribe "):
 			subscribe(strings.TrimPrefix(line, ".subscribe "))
 		case strings.HasPrefix(line, ".batch "):
-			submitMany(strings.TrimPrefix(line, ".batch "), "batch", c.SubmitBatch)
-		case strings.HasPrefix(line, ".bulk "):
-			submitMany(strings.TrimPrefix(line, ".bulk "), "bulk", func(qs []server.BatchQuery) ([]server.BatchHandle, error) {
-				return c.SubmitBulk(qs, false)
-			})
+			submitBatch(strings.TrimPrefix(line, ".batch "))
 		case strings.HasPrefix(line, ".load "):
 			if err := c.Load(strings.TrimPrefix(line, ".load ")); err != nil {
 				fmt.Printf("error: %s\n", describe(err))

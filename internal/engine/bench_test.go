@@ -40,6 +40,35 @@ func BenchmarkSubmitCoordinatePair(b *testing.B) {
 	}
 }
 
+// pairSQL is the socket benchmark's pairs_point statement: user u flies to
+// dest with exactly friend p, all lookups point lookups.
+func pairSQL(rel string, u, p int, dest string) string {
+	us, ps := workload.UserName(u), workload.UserName(p)
+	return fmt.Sprintf("SELECT '%s', '%s' INTO ANSWER %s WHERE ('%s', '%s') IN ANSWER %s AND "+
+		"c IN (SELECT T1.city FROM F T0, U T1, U T2 WHERE T0.u1 = '%s' AND T0.u2 = '%s' "+
+		"AND T1.u = '%s' AND T2.u = '%s' AND T2.city = T1.city) CHOOSE 1",
+		us, dest, rel, ps, dest, rel, us, ps, us, ps)
+}
+
+// BenchmarkParseSQL measures Engine.ParseSQL on pairSQL: one statement
+// shape, different users every iteration.
+func BenchmarkParseSQL(b *testing.B) {
+	socialEnv(b)
+	e := New(socialDB, Config{})
+	defer e.Close()
+	srcs := make([]string, 1024)
+	for i := range srcs {
+		srcs[i] = pairSQL("R_t5", i, i+1, "AAB")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.ParseSQL(srcs[i%len(srcs)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // Shared social substrate for the sharded-vs-single-lock benchmark pairs
 // (building the graph and database once keeps iteration setup cheap).
 var (

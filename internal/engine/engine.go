@@ -153,7 +153,7 @@ type Handle struct {
 	ID ir.QueryID
 	ch chan Result
 	// hook, when non-nil, is invoked with the Result right after it is
-	// buffered on ch (SubmitBatchNotify). It runs on the delivering
+	// buffered on ch (SubmitNotify, SubmitBatchNotify). It runs on the delivering
 	// goroutine — possibly under a shard lock — so it must be fast,
 	// non-blocking, and must not call back into the engine.
 	hook func(Result)
@@ -399,6 +399,7 @@ type Engine struct {
 	shards      []*shard
 	router      *router
 	plans       *memdb.PlanCache // shared compiled-plan cache; nil when disabled
+	shapes      *eqsql.ShapeCache
 	nextID      atomic.Int64
 	flushRounds atomic.Int64 // engine-level flush rounds (see Stats.Flushes)
 	// Submission-path amortisation counters (see Stats.RouterPasses).
@@ -483,6 +484,7 @@ func New(db *memdb.DB, cfg Config) *Engine {
 		// Buffered past the worker count so dispatching shards rarely fall
 		// back to evaluating inline while workers are momentarily busy.
 		evalQueue: make(chan *evalRound, 4*poolSize),
+		shapes:    eqsql.NewShapeCache(eqsql.DBSchema{DB: db}, eqsql.Options{AnswerSchemas: cfg.AnswerSchemas}),
 		now:       time.Now,
 	}
 	if cfg.PlanCacheSize >= 0 {
@@ -571,6 +573,16 @@ func (e *Engine) Stats() Stats {
 // a handle that will receive exactly one Result. The query's ID is assigned
 // by the engine; the input's ID field is ignored.
 func (e *Engine) Submit(q *ir.Query) (*Handle, error) {
+	return e.SubmitNotify(q, nil)
+}
+
+// SubmitNotify is Submit with a result hook, as SubmitBatchNotify is for
+// batches: fn (when non-nil) is invoked once with the query's Result right
+// after it is buffered on the handle. An arrival that closes its component
+// delivers inside this call, before SubmitNotify returns the handle. fn runs
+// on the delivering goroutine, possibly under a shard lock: it must be fast,
+// non-blocking, and must not call back into the engine.
+func (e *Engine) SubmitNotify(q *ir.Query, fn func(Result)) (*Handle, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
@@ -588,7 +600,7 @@ func (e *Engine) Submit(q *ir.Query) (*Handle, error) {
 	// ground tuples.
 	id := ir.QueryID(e.nextID.Add(1))
 	renamed := q.RenamedCopy(id)
-	h := &Handle{ID: id, ch: make(chan Result, 1)}
+	h := &Handle{ID: id, ch: make(chan Result, 1), hook: fn}
 	rels := coordRels(q)
 	now := e.now()
 
@@ -919,14 +931,12 @@ func (e *Engine) submitGrouped(relss [][]string, ingest func(s *shard, group []i
 
 // ParseSQL translates an entangled-SQL statement against the engine's
 // database schema and configured ANSWER schemas, without submitting it.
+// Statements differing only in their string literals are translated once
+// per shape (eqsql.ShapeCache); the database's stats epoch, which advances
+// on every CREATE and DROP TABLE, is the schema generation, so DDL never
+// serves a template translated against an older schema.
 func (e *Engine) ParseSQL(src string) (*ir.Query, error) {
-	tr, err := eqsql.Parse(0, src, eqsql.DBSchema{DB: e.db}, eqsql.Options{
-		AnswerSchemas: e.cfg.AnswerSchemas,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return tr.Query, nil
+	return e.shapes.Parse(src, e.db.StatsEpoch())
 }
 
 // SubmitSQL parses an entangled-SQL statement against the engine's database

@@ -53,6 +53,11 @@ func (s *Stmt) NumParams() int { return s.nParams }
 // enqueues the resulting query, returning its handle. len(bindings) must
 // equal NumParams.
 func (s *Stmt) Submit(bindings ...string) (*Handle, error) {
+	return s.SubmitNotify(nil, bindings...)
+}
+
+// SubmitNotify is Submit with a result hook; see Engine.SubmitNotify.
+func (s *Stmt) SubmitNotify(fn func(Result), bindings ...string) (*Handle, error) {
 	if len(bindings) != s.nParams {
 		return nil, fmt.Errorf("engine: prepared statement takes %d bindings, got %d", s.nParams, len(bindings))
 	}
@@ -60,5 +65,5 @@ func (s *Stmt) Submit(bindings ...string) (*Handle, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.e.Submit(q)
+	return s.e.SubmitNotify(q, fn)
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"entangle/internal/eqsql"
 	"entangle/internal/ir"
 	"entangle/internal/memdb"
 )
@@ -70,6 +71,54 @@ func TestPrepareRejectsBadTemplates(t *testing.T) {
 	// Validation failures surface at Prepare, not Submit.
 	if _, err := e.Prepare(&ir.Query{Choose: 1}); err == nil {
 		t.Fatal("headless template must fail Prepare")
+	}
+}
+
+// TestParseSQLFollowsDDL: ParseSQL translates statements of one shape from
+// a cached template, so a DROP TABLE and a CREATE TABLE with different
+// columns between two such statements must change the second translation —
+// it must match a direct translation against the new schema, not the
+// template built for the old one.
+func TestParseSQLFollowsDDL(t *testing.T) {
+	db := prepareDB()
+	e := New(db, Config{Mode: Incremental, Shards: 1})
+	defer e.Close()
+	stmt := func(who string) string {
+		return fmt.Sprintf(`SELECT '%s', fno INTO ANSWER R
+WHERE fno IN (SELECT fno FROM Flights WHERE dest = 'Paris') CHOOSE 1`, who)
+	}
+	direct := func(src string) string {
+		t.Helper()
+		tr, err := eqsql.Parse(0, src, eqsql.DBSchema{DB: db}, eqsql.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr.Query.String()
+	}
+	parse := func(src string) string {
+		t.Helper()
+		q, err := e.ParseSQL(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q.String()
+	}
+	before := parse(stmt("Kramer"))
+	if want := direct(stmt("Kramer")); before != want {
+		t.Fatalf("before DDL: %s, want %s", before, want)
+	}
+	if got, want := parse(stmt("Jerry")), direct(stmt("Jerry")); got != want {
+		t.Fatalf("same shape, new literal: %s, want %s", got, want)
+	}
+	if err := e.Load("DROP TABLE Flights; CREATE TABLE Flights (dest, gate, fno);"); err != nil {
+		t.Fatal(err)
+	}
+	after := parse(stmt("Kramer"))
+	if want := direct(stmt("Kramer")); after != want {
+		t.Fatalf("after DDL: %s, want %s", after, want)
+	}
+	if after == before {
+		t.Fatalf("DDL did not change the translation: %s", after)
 	}
 }
 

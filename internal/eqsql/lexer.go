@@ -47,9 +47,13 @@ type lexer struct {
 }
 
 // lex tokenises the whole input up front; entangled queries are short, so
-// one pass keeps the parser simple.
+// one pass keeps the parser simple. ASCII input — every statement the
+// benchmark and the examples send — takes a byte-at-a-time path: token
+// texts are sub-slices of src, and so are string literals without a
+// doubled-quote escape, so a statement costs one allocation for its token
+// slice.
 func lex(src string) ([]token, error) {
-	l := &lexer{src: src}
+	l := &lexer{src: src, toks: make([]token, 0, len(src)/4+2)}
 	for {
 		l.skipSpaceAndComments()
 		if l.pos >= len(l.src) {
@@ -57,7 +61,10 @@ func lex(src string) ([]token, error) {
 			return l.toks, nil
 		}
 		start := l.pos
-		r, size := utf8.DecodeRuneInString(l.src[l.pos:])
+		r, size := rune(l.src[l.pos]), 1
+		if r >= utf8.RuneSelf {
+			r, size = utf8.DecodeRuneInString(l.src[l.pos:])
+		}
 		switch {
 		case r == '\'':
 			s, err := l.lexString()
@@ -69,9 +76,9 @@ func lex(src string) ([]token, error) {
 			l.toks = append(l.toks, token{kind: tokNumber, text: l.lexWhile(isNumberRune), pos: start})
 		case unicode.IsLetter(r) || r == '_':
 			l.toks = append(l.toks, token{kind: tokIdent, text: l.lexWhile(isWordRune), pos: start})
-		case strings.ContainsRune("(),.=><*", r):
+		case r < utf8.RuneSelf && strings.IndexByte("(),.=><*", byte(r)) >= 0:
 			l.pos += size
-			l.toks = append(l.toks, token{kind: tokPunct, text: string(r), pos: start})
+			l.toks = append(l.toks, token{kind: tokPunct, text: l.src[start:l.pos], pos: start})
 		default:
 			return nil, &ir.ParseError{Offset: l.pos, Msg: fmt.Sprintf("eqsql: unexpected character %q", r)}
 		}
@@ -80,12 +87,11 @@ func lex(src string) ([]token, error) {
 
 func (l *lexer) skipSpaceAndComments() {
 	for l.pos < len(l.src) {
-		r, size := utf8.DecodeRuneInString(l.src[l.pos:])
-		if unicode.IsSpace(r) {
-			l.pos += size
+		switch c := l.src[l.pos]; {
+		case c == ' ' || c == '\n' || c == '\t' || c == '\r' || c == '\v' || c == '\f':
+			l.pos++
 			continue
-		}
-		if strings.HasPrefix(l.src[l.pos:], "--") {
+		case c == '-' && strings.HasPrefix(l.src[l.pos:], "--"):
 			// SQL line comment.
 			if nl := strings.IndexByte(l.src[l.pos:], '\n'); nl >= 0 {
 				l.pos += nl + 1
@@ -93,6 +99,11 @@ func (l *lexer) skipSpaceAndComments() {
 			}
 			l.pos = len(l.src)
 			continue
+		case c >= utf8.RuneSelf:
+			if r, size := utf8.DecodeRuneInString(l.src[l.pos:]); unicode.IsSpace(r) {
+				l.pos += size
+				continue
+			}
 		}
 		return
 	}
@@ -101,7 +112,10 @@ func (l *lexer) skipSpaceAndComments() {
 func (l *lexer) lexWhile(pred func(rune) bool) string {
 	start := l.pos
 	for l.pos < len(l.src) {
-		r, size := utf8.DecodeRuneInString(l.src[l.pos:])
+		r, size := rune(l.src[l.pos]), 1
+		if r >= utf8.RuneSelf {
+			r, size = utf8.DecodeRuneInString(l.src[l.pos:])
+		}
 		if !pred(r) {
 			break
 		}
@@ -110,8 +124,19 @@ func (l *lexer) lexWhile(pred func(rune) bool) string {
 	return l.src[start:l.pos]
 }
 
+// lexString scans a single-quoted literal. A literal without a
+// doubled-quote escape whose bytes are valid UTF-8 is returned as a
+// sub-slice of the input; otherwise it is rebuilt rune by rune, which
+// unescapes each doubled quote and turns each invalid byte into U+FFFD.
 func (l *lexer) lexString() (string, error) {
 	l.pos++ // opening quote
+	if n := strings.IndexByte(l.src[l.pos:], '\''); n >= 0 {
+		lit, end := l.src[l.pos:l.pos+n], l.pos+n+1
+		if (end >= len(l.src) || l.src[end] != '\'') && utf8.ValidString(lit) {
+			l.pos = end
+			return lit, nil
+		}
+	}
 	var b strings.Builder
 	for l.pos < len(l.src) {
 		r, size := utf8.DecodeRuneInString(l.src[l.pos:])

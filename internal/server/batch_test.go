@@ -72,72 +72,3 @@ func TestServerSubmitBatchAllInvalid(t *testing.T) {
 		t.Fatalf("handles = %+v", handles)
 	}
 }
-
-// TestServerSubmitBulk drives the submit_bulk op end to end: the batch is
-// loaded through the engine's unordered set-at-a-time bulk path (one router
-// pass, a bulk flush per touched shard), per-query parse errors do not fail
-// the load, and each accepted query streams its single result.
-func TestServerSubmitBulk(t *testing.T) {
-	srv, addr := startServer(t, engine.Config{Mode: engine.Incremental, Shards: 4})
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	handles, err := c.SubmitBulk([]BatchQuery{
-		{IR: "{R(Jerry, x)} R(Kramer, x) :- Flights(x, Paris)"},
-		{IR: "{R(Kramer, y)} R(Jerry, y) :- Flights(y, Paris)"},
-		{IR: "not a query"},
-	}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(handles) != 3 {
-		t.Fatalf("%d handles", len(handles))
-	}
-	if handles[2].Err == nil {
-		t.Fatal("bad query must carry a per-item error")
-	}
-	for i, h := range handles[:2] {
-		if h.Err != nil {
-			t.Fatalf("bulk member %d refused: %v", i, h.Err)
-		}
-		if r := waitResult(t, h.Ch); r.Status != "answered" {
-			t.Fatalf("bulk member %d: %s (%s)", i, r.Status, r.Detail)
-		}
-	}
-	st := srv.Engine.Stats()
-	if st.RouterPasses != 1 || st.BulkLoads != 1 || st.BulkFlushes < 1 {
-		t.Fatalf("bulk counters: passes=%d loads=%d flushes=%d", st.RouterPasses, st.BulkLoads, st.BulkFlushes)
-	}
-}
-
-// TestServerSubmitBulkDeferred: defer_flush leaves the load pending until a
-// flush op coordinates it.
-func TestServerSubmitBulkDeferred(t *testing.T) {
-	srv, addr := startServer(t, engine.Config{Mode: engine.SetAtATime, Shards: 2})
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	handles, err := c.SubmitBulk([]BatchQuery{
-		{IR: "{R(Jerry, x)} R(Kramer, x) :- Flights(x, Paris)"},
-		{IR: "{R(Kramer, y)} R(Jerry, y) :- Flights(y, Paris)"},
-	}, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := srv.Engine.Stats(); st.Pending != 2 || st.BulkFlushes != 0 {
-		t.Fatalf("after deferred bulk: pending=%d bulkFlushes=%d", st.Pending, st.BulkFlushes)
-	}
-	if err := c.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	for i, h := range handles {
-		if r := waitResult(t, h.Ch); r.Status != "answered" {
-			t.Fatalf("member %d: %s (%s)", i, r.Status, r.Detail)
-		}
-	}
-}

@@ -326,61 +326,3 @@ func TestChaosOverloadShedding(t *testing.T) {
 		}
 	})
 }
-
-// TestChaosMidBulkDrop cuts the connection partway through a chunked bulk
-// upload: the bulk fails with a typed transport error (never a hang), the
-// reconnected client keeps working, and the server serves other clients
-// throughout.
-func TestChaosMidBulkDrop(t *testing.T) {
-	_, addr := startServerWith(t, engine.Config{Mode: engine.SetAtATime, Shards: 1}, nil)
-	var dialSeq atomic.Int64
-	dialer := func(a string) (net.Conn, error) {
-		conn, err := net.Dial("tcp", a)
-		if err != nil {
-			return nil, err
-		}
-		if dialSeq.Add(1) == 1 {
-			// First connection dies at byte 3000 of the upload stream —
-			// mid-chunk, mid-frame.
-			return fault.WrapConn(conn, fault.New(9).At(fault.OpConnWrite, 3000, fault.Drop)), nil
-		}
-		return conn, nil
-	}
-	c, err := DialWith(addr, DialOptions{
-		Reconnect: true, OpTimeout: 2 * time.Second,
-		BackoffMin: time.Millisecond, BackoffMax: 10 * time.Millisecond,
-		JitterSeed: 9, Dialer: dialer,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	queries := make([]BatchQuery, 100)
-	for i := range queries {
-		queries[i] = BatchQuery{IR: fmt.Sprintf("{B%d(A, x)} B%d(B, x) :- F(x, Rome)", i, i)}
-	}
-	_, err = c.SubmitBulkChunked(queries, 10, false)
-	if !errors.Is(err, ErrConnLost) && !errors.Is(err, ErrOpTimeout) {
-		t.Fatalf("mid-bulk drop: err = %v, want typed ErrConnLost/ErrOpTimeout", err)
-	}
-	if c.LocalStats().ConnsLost < 1 {
-		t.Fatalf("connection drop not observed: %+v", c.LocalStats())
-	}
-
-	// The same client heals: a tokened single submission goes through on
-	// the reconnected (clean) connection.
-	_, _, err = c.SubmitIR("{After(A, x)} After(B, x) :- F(x, Rome)")
-	if err != nil {
-		t.Fatalf("submit after healed bulk drop: %v", err)
-	}
-	// And the server is not wedged for anyone else.
-	clean, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer clean.Close()
-	if err := clean.Flush(); err != nil {
-		t.Fatalf("post-drop flush: %v", err)
-	}
-}

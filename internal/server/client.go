@@ -558,77 +558,13 @@ func (c *Client) SubmitBatch(queries []BatchQuery) ([]BatchHandle, error) {
 	return c.submitMany(Request{Op: "submit_batch", Queries: queries})
 }
 
-// SubmitBulk submits many queries in one submit_bulk request, loaded
-// server-side through the engine's UNORDERED bulk path: the batch is
-// ingested and coordinated set-at-a-time, which is cheaper than
-// SubmitBatch but gives up the intra-batch admission ordering (see
-// engine.SubmitBulk). deferFlush skips the coordination round after
-// ingest. Handle semantics match SubmitBatch.
-func (c *Client) SubmitBulk(queries []BatchQuery, deferFlush bool) ([]BatchHandle, error) {
-	return c.submitMany(Request{Op: "submit_bulk", Queries: queries, DeferFlush: deferFlush})
-}
-
-// SubmitBulkChunked streams one logical bulk load as a chunked session
-// (bulk_begin, ⌈len/chunkSize⌉ × bulk_chunk, bulk_end), sidestepping the
-// server's 1 MB request-line limit for bulks of any size: each chunk is
-// ingested server-side with its flush deferred, and the whole session
-// coordinates as one round at bulk_end (or at a later flush, when
-// deferFlush is set). chunkSize ≤ 0 picks 512. Handle semantics match
-// SubmitBulk; the session holds the client's request lock end to end, so
-// concurrent submissions cannot interleave with it.
-func (c *Client) SubmitBulkChunked(queries []BatchQuery, chunkSize int, deferFlush bool) ([]BatchHandle, error) {
-	if chunkSize <= 0 {
-		chunkSize = 512
-	}
-	c.reqMu.Lock()
-	defer c.reqMu.Unlock()
-	ctl := func(req Request) error {
-		ack, _, err := c.exchange(req, false)
-		if err != nil {
-			return err
-		}
-		if ack.Type == "error" {
-			return ack.Err()
-		}
-		return nil
-	}
-	if err := ctl(Request{Op: "bulk_begin", DeferFlush: deferFlush}); err != nil {
-		return nil, err
-	}
-	out := make([]BatchHandle, 0, len(queries))
-	for start := 0; start < len(queries); start += chunkSize {
-		chunk := queries[start:min(start+chunkSize, len(queries))]
-		hs, err := c.exchangeMany(Request{Op: "bulk_chunk", Queries: chunk})
-		if err != nil {
-			// Best-effort close of the server-side session: without it the
-			// connection's bulk latch stays open — every later chunked bulk
-			// would be rejected and already-ingested chunks (flush deferred)
-			// would wait for an unrelated flush. (A lost connection closes
-			// the session server-side anyway.)
-			_ = ctl(Request{Op: "bulk_end"})
-			return nil, err
-		}
-		out = append(out, hs...)
-	}
-	if err := ctl(Request{Op: "bulk_end"}); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// submitMany performs a batch-shaped request/reply exchange (submit_batch
-// or submit_bulk) and registers a result waiter per accepted query.
+// submitMany performs a batch-shaped request/reply exchange: send one
+// request, consume its in-order "batch" reply, register a waiter per
+// accepted query. If the acking generation died before registration,
+// accepted handles get synthesized conn-lost results.
 func (c *Client) submitMany(req Request) ([]BatchHandle, error) {
 	c.reqMu.Lock()
 	defer c.reqMu.Unlock()
-	return c.exchangeMany(req)
-}
-
-// exchangeMany is submitMany's locked core (caller holds reqMu): send one
-// batch-shaped request, consume its in-order "batch" reply, register a
-// waiter per accepted query. If the acking generation died before
-// registration, accepted handles get synthesized conn-lost results.
-func (c *Client) exchangeMany(req Request) ([]BatchHandle, error) {
 	queries := req.Queries
 	ack, gen, err := c.exchange(req, false)
 	if err != nil {

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"fmt"
 	"net"
 	"strings"
 	"testing"
@@ -33,69 +32,6 @@ func startDurableServer(t *testing.T, dir string) (*Server, string) {
 		e.Close()
 	})
 	return s, l.Addr().String()
-}
-
-// TestServerBulkChunked streams one logical bulk as many chunks: every
-// chunk must ride the engine's bulk path with its flush deferred, and the
-// session must coordinate as one round at bulk_end.
-func TestServerBulkChunked(t *testing.T) {
-	srv, addr := startServer(t, engine.Config{Mode: engine.SetAtATime, Shards: 2})
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	const pairs = 30
-	queries := make([]BatchQuery, 0, 2*pairs+1)
-	for i := 0; i < pairs; i++ {
-		queries = append(queries,
-			BatchQuery{IR: fmt.Sprintf("{R%d(J, x)} R%d(K, x) :- F(x, Rome)", i, i)},
-			BatchQuery{IR: fmt.Sprintf("{R%d(K, y)} R%d(J, y) :- F(y, Rome)", i, i)},
-		)
-	}
-	queries = append(queries, BatchQuery{IR: "not a query"}) // per-item error survives chunking
-	handles, err := c.SubmitBulkChunked(queries, 7, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(handles) != len(queries) {
-		t.Fatalf("%d handles for %d queries", len(handles), len(queries))
-	}
-	if handles[len(handles)-1].Err == nil {
-		t.Fatal("bad query must carry a per-item error")
-	}
-	for i, h := range handles[:2*pairs] {
-		if h.Err != nil {
-			t.Fatalf("chunk member %d refused: %v", i, h.Err)
-		}
-		if r := waitResult(t, h.Ch); r.Status != "answered" {
-			t.Fatalf("chunk member %d: %s (%s)", i, r.Status, r.Detail)
-		}
-	}
-	// ⌈61/7⌉ chunks, each one engine bulk load; the flushes all came from
-	// the single bulk_end round, not per chunk.
-	st := srv.Engine.Stats()
-	if st.BulkLoads != 9 {
-		t.Fatalf("BulkLoads = %d, want 9", st.BulkLoads)
-	}
-	if st.BulkFlushes != 0 {
-		t.Fatalf("BulkFlushes = %d, want 0 (chunks must defer)", st.BulkFlushes)
-	}
-}
-
-// TestServerBulkChunkOutsideSession: session control ops must be guarded.
-func TestServerBulkChunkOutsideSession(t *testing.T) {
-	_, addr := startServer(t, engine.Config{Mode: engine.Incremental})
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.submitMany(Request{Op: "bulk_chunk", Queries: []BatchQuery{{IR: "{R(J, x)} R(K, x) :- F(x, Rome)"}}}); err == nil ||
-		!strings.Contains(err.Error(), "outside a bulk session") {
-		t.Fatalf("bulk_chunk outside session: %v", err)
-	}
 }
 
 // TestServerCheckpointOp drives the checkpoint op against a durable and a

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -99,21 +100,36 @@ func TestServerOversizedRequest(t *testing.T) {
 	}
 }
 
-// TestServerShutdownWithPendingQueries pins the forwarder-leak fix: a query
-// with no coordination partner parks a result-forwarding goroutine on its
-// handle; Shutdown must release those forwarders and return rather than
-// leaking them (or hanging on its own WaitGroup).
+// partnerlessIR pends forever (no partner, no staleness configured).
+const partnerlessIR = "{Rp(Other, x)} Rp(Me, x) :- F(x, Paris)"
+
+// awaitGoroutines waits until at most n goroutines run, dumping every stack
+// on timeout.
+func awaitGoroutines(t *testing.T, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > n {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines, want ≤ %d:\n%s", runtime.NumGoroutine(), n, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestServerShutdownWithPendingQueries: Shutdown returns promptly with
+// queries still pending, and no goroutine it started outlives it — pending
+// queries hold none of their own.
 func TestServerShutdownWithPendingQueries(t *testing.T) {
 	s, addr := startServer(t, engine.Config{Mode: engine.Incremental})
+	before := runtime.NumGoroutine()
 	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	// Partnerless: pends forever (no staleness configured).
 	for i := 0; i < 4; i++ {
-		irText := "{Rp(Other, x)} Rp(Me, x) :- F(x, Paris)"
-		if _, _, err := c.SubmitIR(irText); err != nil {
+		if _, _, err := c.SubmitIR(partnerlessIR); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -127,6 +143,40 @@ func TestServerShutdownWithPendingQueries(t *testing.T) {
 	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("Shutdown hung with pending queries")
+	}
+	// The client's read loop ends with its connection, and the server's
+	// goroutines with Shutdown.
+	awaitGoroutines(t, before)
+}
+
+// TestServerGoroutinesPerConnection: a connection costs a fixed number of
+// goroutines however many of its queries are pending — results reach the
+// connection through the engine's delivery hook, not a goroutine parked per
+// query.
+func TestServerGoroutinesPerConnection(t *testing.T) {
+	_, addr := startServerWith(t, engine.Config{Mode: engine.Incremental, Shards: 1},
+		func(s *Server) { s.MaxInFlight = -1 })
+	rc := rawDial(t, addr)
+	rc.send(Request{Op: "ir", IR: partnerlessIR})
+	if ack := rc.recv(); ack.Type != "ack" {
+		t.Fatalf("reply %+v", ack)
+	}
+	before := runtime.NumGoroutine()
+	const pending = 2000
+	go func() {
+		for i := 0; i < pending; i++ {
+			rc.enc.Encode(Request{Op: "ir", IR: partnerlessIR})
+		}
+	}()
+	for i := 0; i < pending; i++ {
+		if ack := rc.recv(); ack.Type != "ack" {
+			t.Fatalf("reply %d: %+v", i, ack)
+		}
+	}
+	// Slack for runtime and test goroutines that come and go, far below one
+	// per pending query.
+	if n := runtime.NumGoroutine(); n > before+16 {
+		t.Fatalf("%d pending queries on one connection: %d goroutines, %d before them", pending+1, n, before)
 	}
 }
 

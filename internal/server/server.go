@@ -9,13 +9,8 @@
 //	                 {"op":"ir","ir":"{R(J,x)} R(K,x) :- F(x,P)"}  submit IR text
 //	                 {"op":"submit_batch","queries":[{"sql":"…"},{"ir":"…"}]}
 //	                                                      submit many queries in one engine batch
-//	                 {"op":"submit_bulk","queries":[…],"defer_flush":true}
-//	                                                      unordered bulk load (set-at-a-time per batch)
 //	                 {"op":"subscribe","queries":[…],"token":"…"}
 //	                                                      submit a query set, stream every result back
-//	                 {"op":"bulk_begin","defer_flush":true}  open a chunked bulk session
-//	                 {"op":"bulk_chunk","queries":[…]}    one chunk of the open session
-//	                 {"op":"bulk_end"}                    close the session (flush unless deferred)
 //	                 {"op":"prepare","sql":"SELECT …"}    prepare a statement template
 //	                 {"op":"prepare","ir":"{R(J,x)} R('$1',x) :- F(x,'$2')"}
 //	                                                      … or from IR text
@@ -36,6 +31,23 @@
 //	                 {"type":"result","id":7,"status":"answered","tuples":["R(K, 122)"]}
 //	                 {"type":"stats","stats":{…}}
 //
+// Request lines are capped at 1 MiB; a longer line ends the connection with
+// a final error reply ("token too long").
+//
+// # Connection model
+//
+// Each connection has exactly two goroutines, however many of its queries
+// are pending. The reader decodes requests, admits them, and queues their
+// replies in request order. Results reach the connection through the
+// engine's per-query delivery hook (Engine.SubmitNotify and friends), which
+// only appends to the connection's queue. The writer encodes the queue with
+// encoding/json into a buffered writer and flushes it, under one write
+// deadline, whenever the queue drains. Replies therefore arrive in request
+// order, and every result arrives after the ack or batch reply that carries
+// its ID: a submission that closes a coordination round on arrival has its
+// own result delivered before its ack exists, so results delivered while a
+// submission is being admitted are held and queued right behind its reply.
+//
 // # Resilience
 //
 // Single submissions (sql / ir / execute) may carry a client-generated
@@ -44,12 +56,11 @@
 // token, and the server suppresses the duplicate admission, re-acks the
 // original engine-assigned id, and re-delivers the terminal result on the
 // new connection. Error replies carry a machine-readable "code" for typed
-// failures (engine overload, WAL poisoning), each reply write runs under the
-// server's write deadline (a reader that stops draining gets its connection
-// torn down instead of wedging the forwarders behind the shared write lock),
-// and per-connection in-flight submissions are capped (shed with the
-// "overloaded" code). Stats replies include fault-injector counters when a
-// test injector is installed.
+// failures (engine overload, WAL poisoning). A flush that cannot complete
+// within the server's write timeout — a reader that stopped draining, a dead
+// peer — tears the connection down, and per-connection in-flight submissions
+// are capped (shed with the "overloaded" code). Stats replies include
+// fault-injector counters when a test injector is installed.
 //
 // A submit_batch reply carries one item per input query: an engine-assigned
 // id for each accepted query (whose single result later arrives as a normal
@@ -72,20 +83,6 @@
 // end to end. Tokens age out of the same bounded window as single-
 // submission tokens.
 //
-// submit_bulk has the same request/reply shape but loads the accepted
-// queries through the engine's unordered bulk path: the batch is ingested
-// and coordinated set-at-a-time (no per-query incremental evaluation; see
-// Engine.SubmitBulk for the ordering caveat). defer_flush skips the
-// coordination round after ingest.
-//
-// A chunked bulk session (bulk_begin … bulk_chunk* … bulk_end) streams one
-// logical bulk load as many submit_bulk-sized requests, sidestepping the
-// 1 MB request-line limit: each bulk_chunk is ingested through the engine's
-// bulk path with the flush deferred, and bulk_end runs the single
-// coordination round (unless the session itself was opened deferred). Each
-// chunk gets its own "batch" reply; bulk_end is acknowledged with "ack".
-// One session may be open per connection at a time.
-//
 // load executes through the engine (Engine.Load), so on a durable engine
 // the script is logged write-ahead and survives a crash; checkpoint forces
 // a durable snapshot and fails on engines without a data directory.
@@ -98,6 +95,9 @@
 // then the single result message. Statement ids are per connection and
 // released when it closes. Repeated executes of one statement share a
 // plan-cache shape, so the combined query compiles at most once server-side.
+// Plain sql submissions get the same reuse implicitly: statements differing
+// only in their string literals share one cached translation
+// (Engine.ParseSQL).
 package server
 
 import (
@@ -107,7 +107,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"entangle/internal/engine"
@@ -120,10 +119,7 @@ type Request struct {
 	Op      string       `json:"op"`
 	SQL     string       `json:"sql,omitempty"`
 	IR      string       `json:"ir,omitempty"`
-	Queries []BatchQuery `json:"queries,omitempty"` // submit_batch / submit_bulk payload
-	// DeferFlush (submit_bulk only) skips the coordination round after the
-	// bulk ingest; closed components wait for the next flush.
-	DeferFlush bool `json:"defer_flush,omitempty"`
+	Queries []BatchQuery `json:"queries,omitempty"` // submit_batch / subscribe payload
 	// Stmt names a prepared statement (execute only; connection-scoped id
 	// from a prior prepare reply). Bindings are its placeholder values, in
 	// $1..$K order.
@@ -228,14 +224,15 @@ func errCode(err error) string {
 type Server struct {
 	Engine *engine.Engine
 
-	// WriteTimeout bounds each reply write. A reply that cannot complete
-	// within it — a reader that stopped draining, a dead peer — fails the
-	// write and tears the connection down, so one stuck client cannot wedge
-	// the forwarders queueing behind the connection's write lock. 0 picks
-	// the default (10s); negative disables the deadline. Set before Serve.
+	// WriteTimeout bounds each flush of a connection's queued replies. A
+	// flush that cannot complete within it — a reader that stopped
+	// draining, a dead peer — fails and tears the connection down, so one
+	// stuck client cannot hold its replies, results and reader hostage. 0
+	// picks the default (10s); negative disables the deadline. Set before
+	// Serve.
 	WriteTimeout time.Duration
 	// MaxInFlight caps one connection's submissions whose results have not
-	// yet been forwarded; excess submissions are shed with an "overloaded"
+	// yet been written; excess submissions are shed with an "overloaded"
 	// error reply. 0 picks the default (1024); negative disables the cap.
 	// Set before Serve.
 	MaxInFlight int
@@ -248,9 +245,8 @@ type Server struct {
 	conns map[net.Conn]struct{}
 	done  chan struct{}
 	once  sync.Once
-	// wg tracks every connection handler and result-forwarding goroutine, so
-	// Shutdown can wait for them instead of leaking forwarders blocked on
-	// queries that will never resolve (their select exits on done).
+	// wg tracks every connection handler (each waits for its writer), so
+	// Shutdown returns only when no connection goroutine is left.
 	wg sync.WaitGroup
 
 	// tokens dedupes single submissions by client token within a bounded
@@ -269,48 +265,62 @@ type Server struct {
 type tokenEntry struct {
 	acked   chan struct{} // closed once id / errResp are decided
 	id      ir.QueryID
-	errResp *Response     // admission failure reply; nil if admitted
-	ready   chan struct{} // closed once res holds the terminal result
-	res     Response
+	errResp *Response // admission failure reply; nil if admitted
+
+	mu      sync.Mutex
+	res     engine.Result
+	done    bool    // res holds the terminal result
+	waiters []*conn // re-sends acked before the result existed
+}
+
+// resolve records the terminal result and returns the connections of the
+// re-sends waiting for it.
+func (te *tokenEntry) resolve(r engine.Result) []*conn {
+	te.mu.Lock()
+	defer te.mu.Unlock()
+	te.res, te.done = r, true
+	waiters := te.waiters
+	te.waiters = nil
+	return waiters
 }
 
 // subEntry is the server-side state of one subscription: the admission
 // outcome plus every terminal result so far, accumulated engine-side by the
-// batch's delivery hook. It outlives any single connection — a delivery
-// goroutine (streamSub) attached to whichever connection sent (or re-sent)
-// the subscribe request streams the cached results and then follows the
-// live tail, so a reconnecting client re-sending its token gets the full
-// stream replayed without re-admitting anything.
+// batch's delivery hook, and the connections the stream is attached to. It
+// outlives any single connection, so a reconnecting client re-sending its
+// token gets the full stream replayed without re-admitting anything.
 type subEntry struct {
-	acked   chan struct{} // closed once items / errResp are decided
-	items   []BatchItem   // per-query admission outcome, input order
-	errResp *Response     // whole-batch admission failure; nil if admitted
-	total   int           // admitted queries = results owed
+	acked chan struct{} // closed once items / errResp / total are decided
 
 	mu      sync.Mutex
-	results []Response    // terminal results, arrival order (append-only)
-	newRes  chan struct{} // closed+replaced on every append (broadcast)
+	items   []BatchItem // per-query admission outcome, input order
+	errResp *Response   // whole-batch admission failure; nil if admitted
+	total   int         // admitted queries = results owed
+	results []engine.Result
+	conns   []*conn // attached streams still owed results
 }
 
 func newSubEntry() *subEntry {
-	return &subEntry{acked: make(chan struct{}), newRes: make(chan struct{})}
+	return &subEntry{acked: make(chan struct{})}
 }
 
-// collect is the engine-side delivery hook: it runs on the delivering
-// goroutine (possibly under a shard lock), so it only converts, appends and
-// broadcasts — connection writes happen in streamSub goroutines.
+// collect is the engine-side delivery hook: it appends the result and queues
+// it on every attached connection that is still open.
 func (se *subEntry) collect(r engine.Result) {
-	resp := Response{Type: "result", ID: r.QueryID, Status: r.Status.String(), Detail: r.Detail}
-	if r.Answer != nil {
-		for _, tpl := range r.Answer.Tuples {
-			resp.Tuples = append(resp.Tuples, tpl.String())
+	se.mu.Lock()
+	defer se.mu.Unlock()
+	se.results = append(se.results, r)
+	live := se.conns[:0]
+	for _, c := range se.conns {
+		if c.deliver(r, true) {
+			live = append(live, c)
 		}
 	}
-	se.mu.Lock()
-	se.results = append(se.results, resp)
-	close(se.newRes)
-	se.newRes = make(chan struct{})
-	se.mu.Unlock()
+	clear(se.conns[len(live):])
+	se.conns = live
+	if se.total > 0 && len(se.results) == se.total {
+		se.conns = nil
+	}
 }
 
 // maxTrackedTokens bounds the dedup window; beyond it the oldest entries
@@ -391,10 +401,10 @@ func (s *Server) Serve(l net.Listener) error {
 	}
 }
 
-// Shutdown closes all client connections and waits for their handlers and
-// in-flight result forwarders to finish. Forwarders waiting on queries that
-// will never resolve (pending coordination) exit via the done channel rather
-// than leaking. The caller should also close the listener passed to Serve.
+// Shutdown closes all client connections and waits for their goroutines to
+// finish. Queries still pending keep no goroutine of their own; their
+// results, if the engine ever delivers them, are dropped. The caller should
+// also close the listener passed to Serve.
 func (s *Server) Shutdown() {
 	s.once.Do(func() { close(s.done) })
 	s.mu.Lock()
@@ -405,13 +415,18 @@ func (s *Server) Shutdown() {
 	s.wg.Wait()
 }
 
-func (s *Server) handle(conn net.Conn) {
-	defer func() {
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-		conn.Close()
-	}()
+// session is the reader side of one connection: request dispatch and the
+// connection-scoped prepared statements. Only the reader goroutine touches
+// it.
+type session struct {
+	s           *Server
+	c           *conn
+	maxInFlight int64
+	stmts       map[int]*engine.Stmt
+	nextStmt    int
+}
+
+func (s *Server) handle(nc net.Conn) {
 	writeTimeout := s.WriteTimeout
 	if writeTimeout == 0 {
 		writeTimeout = 10 * time.Second
@@ -424,228 +439,22 @@ func (s *Server) handle(conn net.Conn) {
 	} else if maxInFlight < 0 {
 		maxInFlight = 0
 	}
+	ss := &session{s: s, c: newConn(nc), maxInFlight: int64(maxInFlight), stmts: make(map[int]*engine.Stmt)}
+	writerDone := make(chan struct{})
+	go func() {
+		defer close(writerDone)
+		ss.c.writeLoop(writeTimeout)
+	}()
+	defer func() {
+		ss.c.close(false)
+		<-writerDone
+		s.mu.Lock()
+		delete(s.conns, nc)
+		s.mu.Unlock()
+		nc.Close()
+	}()
 
-	var wmu sync.Mutex // serialises concurrent result writers
-	write := func(r Response) error {
-		wmu.Lock()
-		defer wmu.Unlock()
-		b, err := json.Marshal(r)
-		if err != nil {
-			return err
-		}
-		b = append(b, '\n')
-		if writeTimeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-		}
-		if _, err := conn.Write(b); err != nil {
-			// A reply that cannot be written — stuck reader, dead peer —
-			// makes the connection useless. Close it so every writer queued
-			// on wmu fails fast instead of each waiting out its own deadline
-			// behind a stuck pipe, and so the request scanner unblocks.
-			conn.Close()
-			return err
-		}
-		return nil
-	}
-
-	// inFlight counts this connection's submissions whose results have not
-	// yet been forwarded (or abandoned at shutdown).
-	var inFlight atomic.Int64
-
-	// forward streams a handle's single result back to the client. It runs
-	// as a tracked goroutine and gives up on server shutdown: a query still
-	// pending then will never resolve (the engine closes after the server),
-	// and a forwarder blocked on it would leak past Shutdown. A tokened
-	// submission's result is cached on its entry BEFORE the write, so a
-	// re-send on a fresh connection can re-deliver what this write may be
-	// about to lose.
-	forward := func(h *engine.Handle, te *tokenEntry) {
-		defer s.wg.Done()
-		defer inFlight.Add(-1)
-		select {
-		case r := <-h.Done():
-			resp := Response{Type: "result", ID: r.QueryID, Status: r.Status.String(), Detail: r.Detail}
-			if r.Answer != nil {
-				for _, tpl := range r.Answer.Tuples {
-					resp.Tuples = append(resp.Tuples, tpl.String())
-				}
-			}
-			if te != nil {
-				te.res = resp
-				close(te.ready)
-			}
-			write(resp)
-		case <-s.done:
-		}
-	}
-	spawn := func(h *engine.Handle, te *tokenEntry) {
-		inFlight.Add(1)
-		s.wg.Add(1)
-		go forward(h, te)
-	}
-
-	// streamSub attaches a subscription to THIS connection: once the
-	// admission outcome is decided it replies (batch or error), then streams
-	// every cached result and follows the live tail until all results owed
-	// have been written, the connection dies, or the server shuts down. Each
-	// subscribe request — original or a token re-send after a reconnect —
-	// gets its own streamSub, always replaying from the start; the client
-	// dedupes by query id.
-	streamSub := func(se *subEntry, token string) {
-		defer s.wg.Done()
-		select {
-		case <-se.acked:
-		case <-s.done:
-			return
-		}
-		if se.errResp != nil {
-			resp := *se.errResp
-			resp.Token = token
-			write(resp)
-			return
-		}
-		if write(Response{Type: "batch", Items: se.items, Token: token}) != nil {
-			return
-		}
-		inFlight.Add(int64(se.total))
-		sent := 0
-		defer func() { inFlight.Add(int64(sent - se.total)) }() // undelivered remainder
-		for sent < se.total {
-			se.mu.Lock()
-			pending := se.results[sent:]
-			wait := se.newRes
-			se.mu.Unlock()
-			for _, r := range pending {
-				if write(r) != nil {
-					return
-				}
-				sent++
-				inFlight.Add(-1)
-			}
-			if sent >= se.total {
-				return
-			}
-			select {
-			case <-wait:
-			case <-s.done:
-				return
-			}
-		}
-	}
-
-	// overloadedConn sheds work beyond the connection's in-flight cap.
-	overloadedConn := func(n int) bool {
-		return maxInFlight > 0 && inFlight.Load()+int64(n) > int64(maxInFlight)
-	}
-
-	// submitOne runs a single tokened submission end to end: in-flight cap,
-	// duplicate suppression, admission, ack, result forwarder. A duplicate
-	// token (a client re-sending after a lost connection) never re-admits:
-	// it re-acks the original engine-assigned id and re-delivers the
-	// terminal result to THIS connection once the original forwarder has it.
-	submitOne := func(token string, admit func() (*engine.Handle, error)) {
-		if overloadedConn(1) {
-			write(Response{Type: "error", Code: CodeOverloaded, Token: token,
-				Error: "server: connection in-flight cap reached"})
-			return
-		}
-		var te, dup *tokenEntry
-		if token != "" {
-			s.tokMu.Lock()
-			if prev, ok := s.tokens[token]; ok {
-				dup = prev
-			} else {
-				te = &tokenEntry{acked: make(chan struct{}), ready: make(chan struct{})}
-				s.rememberTokenLocked(token, te)
-			}
-			s.tokMu.Unlock()
-		}
-		if dup != nil {
-			s.wg.Add(1)
-			go func() {
-				defer s.wg.Done()
-				select {
-				case <-dup.acked:
-				case <-s.done:
-					return
-				}
-				if dup.errResp != nil {
-					write(*dup.errResp)
-					return
-				}
-				if write(Response{Type: "ack", ID: dup.id, Token: token}) != nil {
-					return
-				}
-				select {
-				case <-dup.ready:
-					write(dup.res)
-				case <-s.done:
-				}
-			}()
-			return
-		}
-		h, err := admit()
-		if err != nil {
-			resp := Response{Type: "error", Error: err.Error(), Code: errCode(err), Token: token}
-			if te != nil {
-				te.errResp = &resp
-				close(te.acked)
-			}
-			write(resp)
-			return
-		}
-		if te != nil {
-			te.id = h.ID
-			close(te.acked)
-		}
-		write(Response{Type: "ack", ID: h.ID, Token: token})
-		spawn(h, te)
-	}
-
-	// Prepared statements are connection-scoped: only this handler touches
-	// the table, so it needs no lock, and the statements die with the
-	// connection.
-	stmts := make(map[int]*engine.Stmt)
-	nextStmt := 0
-
-	// Chunked bulk session state (also connection-scoped): between
-	// bulk_begin and bulk_end every bulk_chunk ingests with the flush
-	// deferred, so the whole session coordinates as one round at bulk_end.
-	bulkOpen := false
-	bulkDefer := false
-
-	// parseQueries validates a batch-shaped payload: one BatchItem per
-	// input (errors filled in for refused queries), plus the parsed queries
-	// and their item slots.
-	parseQueries := func(queries []BatchQuery) ([]BatchItem, []*ir.Query, []int) {
-		items := make([]BatchItem, len(queries))
-		var qs []*ir.Query
-		var slots []int
-		for i, bq := range queries {
-			var q *ir.Query
-			var err error
-			switch {
-			case bq.SQL != "":
-				q, err = s.Engine.ParseSQL(bq.SQL)
-			case bq.IR != "":
-				q, err = ir.Parse(0, bq.IR)
-			default:
-				err = fmt.Errorf("batch query %d: neither sql nor ir set", i)
-			}
-			if err == nil {
-				err = q.Validate()
-			}
-			if err != nil {
-				items[i] = BatchItem{Error: err.Error()}
-				continue
-			}
-			qs = append(qs, q)
-			slots = append(slots, i)
-		}
-		return items, qs, slots
-	}
-
-	sc := bufio.NewScanner(conn)
+	sc := bufio.NewScanner(nc)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	for sc.Scan() {
 		line := sc.Bytes()
@@ -654,206 +463,311 @@ func (s *Server) handle(conn net.Conn) {
 		}
 		var req Request
 		if err := json.Unmarshal(line, &req); err != nil {
-			write(Response{Type: "error", Error: fmt.Sprintf("bad request: %v", err)})
+			ss.c.reply(Response{Type: "error", Error: fmt.Sprintf("bad request: %v", err)})
 			continue
 		}
-		switch req.Op {
-		case "sql", "ir":
-			req := req
-			submitOne(req.Token, func() (*engine.Handle, error) {
-				if req.Op == "sql" {
-					return s.Engine.SubmitSQL(req.SQL)
-				}
-				q, err := ir.Parse(0, req.IR)
-				if err != nil {
-					return nil, err
-				}
-				return s.Engine.Submit(q)
-			})
-		case "prepare":
-			var st *engine.Stmt
-			var err error
-			switch {
-			case req.SQL != "":
-				st, err = s.Engine.PrepareSQL(req.SQL)
-			case req.IR != "":
-				var q *ir.Query
-				q, err = ir.Parse(0, req.IR)
-				if err == nil {
-					st, err = s.Engine.Prepare(q)
-				}
-			default:
-				err = fmt.Errorf("prepare: neither sql nor ir set")
-			}
-			if err != nil {
-				write(Response{Type: "error", Error: err.Error()})
-				continue
-			}
-			nextStmt++
-			stmts[nextStmt] = st
-			write(Response{Type: "prepared", Stmt: nextStmt, Params: st.NumParams()})
-		case "execute":
-			st, ok := stmts[req.Stmt]
-			if !ok {
-				write(Response{Type: "error", Token: req.Token, Error: fmt.Sprintf("execute: unknown statement %d", req.Stmt)})
-				continue
-			}
-			bindings := req.Bindings
-			submitOne(req.Token, func() (*engine.Handle, error) {
-				return st.Submit(bindings...)
-			})
-		case "submit_batch", "submit_bulk":
-			if overloadedConn(len(req.Queries)) {
-				write(Response{Type: "error", Code: CodeOverloaded,
-					Error: "server: connection in-flight cap reached"})
-				continue
-			}
-			// Parse every query first so one bad query fails only its own
-			// item; the good ones are admitted through the engine's batched
-			// fast path in input order (submit_batch) or its unordered
-			// set-at-a-time bulk path (submit_bulk).
-			items, qs, slots := parseQueries(req.Queries)
-			var handles []*engine.Handle
-			var err error
-			if req.Op == "submit_bulk" {
-				handles, err = s.Engine.SubmitBulk(qs, engine.BulkOptions{DeferFlush: req.DeferFlush})
-			} else {
-				handles, err = s.Engine.SubmitBatch(qs)
-			}
-			if err != nil {
-				write(Response{Type: "error", Error: err.Error(), Code: errCode(err)})
-				continue
-			}
-			for j, h := range handles {
-				items[slots[j]] = BatchItem{ID: h.ID}
-			}
-			write(Response{Type: "batch", Items: items})
-			for _, h := range handles {
-				spawn(h, nil)
-			}
-		case "subscribe":
-			// A token re-send attaches a new delivery stream to the original
-			// subscription (no re-admission); a fresh token (or none) admits
-			// the set through the engine's batched path with a result hook
-			// collecting into the subscription entry.
-			var se *subEntry
-			dup := false
-			if req.Token != "" {
-				s.tokMu.Lock()
-				se, dup = s.subs[req.Token], s.subs[req.Token] != nil
-				s.tokMu.Unlock()
-			}
-			if !dup {
-				// Shed before registering the token, so a shed subscribe can
-				// be retried under the same token as a fresh admission.
-				if overloadedConn(len(req.Queries)) {
-					write(Response{Type: "error", Code: CodeOverloaded, Token: req.Token,
-						Error: "server: connection in-flight cap reached"})
-					continue
-				}
-				se = newSubEntry()
-				if req.Token != "" {
-					s.tokMu.Lock()
-					if prev, ok := s.subs[req.Token]; ok {
-						// A concurrent re-send won the race; attach to it.
-						se, dup = prev, true
-					} else {
-						s.rememberSubLocked(req.Token, se)
-					}
-					s.tokMu.Unlock()
-				}
-			}
-			if !dup {
-				items, qs, slots := parseQueries(req.Queries)
-				handles, err := s.Engine.SubmitBatchNotify(qs, se.collect)
-				if err != nil {
-					se.errResp = &Response{Type: "error", Error: err.Error(), Code: errCode(err)}
-					close(se.acked)
-				} else {
-					for j, h := range handles {
-						items[slots[j]] = BatchItem{ID: h.ID}
-					}
-					se.items = items
-					se.total = len(handles)
-					close(se.acked)
-				}
-			}
-			s.wg.Add(1)
-			go streamSub(se, req.Token)
-		case "bulk_begin":
-			if bulkOpen {
-				write(Response{Type: "error", Error: "bulk session already open"})
-				continue
-			}
-			bulkOpen, bulkDefer = true, req.DeferFlush
-			write(Response{Type: "ack"})
-		case "bulk_chunk":
-			if !bulkOpen {
-				write(Response{Type: "error", Error: "bulk_chunk outside a bulk session"})
-				continue
-			}
-			if overloadedConn(len(req.Queries)) {
-				write(Response{Type: "error", Code: CodeOverloaded,
-					Error: "server: connection in-flight cap reached"})
-				continue
-			}
-			items, qs, slots := parseQueries(req.Queries)
-			// Every chunk defers its flush: the session coordinates once, at
-			// bulk_end. Unsafe rejections still deliver per chunk.
-			handles, err := s.Engine.SubmitBulk(qs, engine.BulkOptions{DeferFlush: true})
-			if err != nil {
-				write(Response{Type: "error", Error: err.Error(), Code: errCode(err)})
-				continue
-			}
-			for j, h := range handles {
-				items[slots[j]] = BatchItem{ID: h.ID}
-			}
-			write(Response{Type: "batch", Items: items})
-			for _, h := range handles {
-				spawn(h, nil)
-			}
-		case "bulk_end":
-			if !bulkOpen {
-				write(Response{Type: "error", Error: "bulk_end outside a bulk session"})
-				continue
-			}
-			bulkOpen = false
-			if !bulkDefer {
-				s.Engine.Flush()
-			}
-			write(Response{Type: "ack"})
-		case "load":
-			if err := s.Engine.Load(req.SQL); err != nil {
-				write(Response{Type: "error", Error: err.Error()})
-				continue
-			}
-			write(Response{Type: "ack"})
-		case "flush":
-			s.Engine.Flush()
-			write(Response{Type: "ack"})
-		case "checkpoint":
-			if err := s.Engine.Checkpoint(); err != nil {
-				write(Response{Type: "error", Error: err.Error()})
-				continue
-			}
-			write(Response{Type: "ack"})
-		case "stats":
-			st := s.Engine.Stats()
-			resp := Response{Type: "stats", Stats: &st}
-			if s.Injector != nil {
-				fs := s.Injector.Stats()
-				resp.Faults = &fs
-			}
-			write(resp)
-		default:
-			write(Response{Type: "error", Error: fmt.Sprintf("unknown op %q", req.Op)})
-		}
+		ss.serve(&req)
 	}
 	// A scan that stops on a read error — most notably a request line over
-	// the 1 MB buffer limit — would otherwise drop the connection silently,
+	// the 1 MiB limit — would otherwise drop the connection silently,
 	// leaving the client's pending request/reply exchange hung. Tell the
 	// client why before closing (best effort: the conn may already be gone).
 	if err := sc.Err(); err != nil {
-		write(Response{Type: "error", Error: fmt.Sprintf("read: %v", err)})
+		ss.c.reply(Response{Type: "error", Error: fmt.Sprintf("read: %v", err)})
 	}
+}
+
+// serve handles one request.
+func (ss *session) serve(req *Request) {
+	s, c := ss.s, ss.c
+	switch req.Op {
+	case "sql", "ir":
+		ss.submitOne(req, nil)
+	case "prepare":
+		var st *engine.Stmt
+		var err error
+		switch {
+		case req.SQL != "":
+			st, err = s.Engine.PrepareSQL(req.SQL)
+		case req.IR != "":
+			var q *ir.Query
+			q, err = ir.Parse(0, req.IR)
+			if err == nil {
+				st, err = s.Engine.Prepare(q)
+			}
+		default:
+			err = fmt.Errorf("prepare: neither sql nor ir set")
+		}
+		if err != nil {
+			c.reply(Response{Type: "error", Error: err.Error()})
+			return
+		}
+		ss.nextStmt++
+		ss.stmts[ss.nextStmt] = st
+		c.reply(Response{Type: "prepared", Stmt: ss.nextStmt, Params: st.NumParams()})
+	case "execute":
+		st, ok := ss.stmts[req.Stmt]
+		if !ok {
+			c.reply(Response{Type: "error", Token: req.Token, Error: fmt.Sprintf("execute: unknown statement %d", req.Stmt)})
+			return
+		}
+		ss.submitOne(req, st)
+	case "submit_batch":
+		if ss.overloaded(len(req.Queries)) {
+			c.reply(Response{Type: "error", Code: CodeOverloaded,
+				Error: "server: connection in-flight cap reached"})
+			return
+		}
+		// Parse every query first so one bad query fails only its own item;
+		// the good ones are admitted through the engine's batched fast path
+		// in input order.
+		items, qs, slots := s.parseQueries(req.Queries)
+		c.begin()
+		handles, err := s.Engine.SubmitBatchNotify(qs, c.hook)
+		if err != nil {
+			c.reply(Response{Type: "error", Error: err.Error(), Code: errCode(err)})
+			return
+		}
+		for j, h := range handles {
+			items[slots[j]] = BatchItem{ID: h.ID}
+		}
+		c.inFlight.Add(int64(len(handles)))
+		c.reply(Response{Type: "batch", Items: items})
+	case "subscribe":
+		ss.subscribe(req)
+	case "load":
+		if err := s.Engine.Load(req.SQL); err != nil {
+			c.reply(Response{Type: "error", Error: err.Error()})
+			return
+		}
+		c.reply(Response{Type: "ack"})
+	case "flush":
+		s.Engine.Flush()
+		c.reply(Response{Type: "ack"})
+	case "checkpoint":
+		if err := s.Engine.Checkpoint(); err != nil {
+			c.reply(Response{Type: "error", Error: err.Error()})
+			return
+		}
+		c.reply(Response{Type: "ack"})
+	case "stats":
+		st := s.Engine.Stats()
+		resp := Response{Type: "stats", Stats: &st}
+		if s.Injector != nil {
+			fs := s.Injector.Stats()
+			resp.Faults = &fs
+		}
+		c.reply(resp)
+	default:
+		c.reply(Response{Type: "error", Error: fmt.Sprintf("unknown op %q", req.Op)})
+	}
+}
+
+// overloaded reports whether n more results would exceed the connection's
+// in-flight cap.
+func (ss *session) overloaded(n int) bool {
+	return ss.maxInFlight > 0 && ss.c.inFlight.Load()+int64(n) > ss.maxInFlight
+}
+
+// submitOne runs a single submission (sql / ir, or execute of st) end to
+// end: in-flight cap, duplicate suppression, admission, ack. A duplicate
+// token (a client re-sending after a lost connection) never re-admits: it
+// re-acks the original engine-assigned id and re-delivers the terminal
+// result to THIS connection once it exists.
+func (ss *session) submitOne(req *Request, st *engine.Stmt) {
+	s, c := ss.s, ss.c
+	if ss.overloaded(1) {
+		c.reply(Response{Type: "error", Code: CodeOverloaded, Token: req.Token,
+			Error: "server: connection in-flight cap reached"})
+		return
+	}
+	hook := c.hook
+	var te *tokenEntry
+	if req.Token != "" {
+		s.tokMu.Lock()
+		dup := s.tokens[req.Token]
+		if dup == nil {
+			te = &tokenEntry{acked: make(chan struct{})}
+			s.rememberTokenLocked(req.Token, te)
+		}
+		s.tokMu.Unlock()
+		if dup != nil {
+			ss.resend(dup, req.Token)
+			return
+		}
+		// The result is cached on the entry before it is queued here, so a
+		// re-send on a fresh connection can re-deliver what this one may be
+		// about to lose.
+		hook = func(r engine.Result) {
+			for _, w := range te.resolve(r) {
+				w.deliver(r, false)
+			}
+			c.deliver(r, true)
+		}
+	}
+	c.begin()
+	var h *engine.Handle
+	var err error
+	switch {
+	case st != nil:
+		h, err = st.SubmitNotify(hook, req.Bindings...)
+	case req.Op == "sql":
+		var q *ir.Query
+		if q, err = s.Engine.ParseSQL(req.SQL); err == nil {
+			h, err = s.Engine.SubmitNotify(q, hook)
+		}
+	default:
+		var q *ir.Query
+		if q, err = ir.Parse(0, req.IR); err == nil {
+			h, err = s.Engine.SubmitNotify(q, hook)
+		}
+	}
+	if err != nil {
+		resp := Response{Type: "error", Error: err.Error(), Code: errCode(err), Token: req.Token}
+		if te != nil {
+			te.errResp = &resp
+			close(te.acked)
+		}
+		c.reply(resp)
+		return
+	}
+	if te != nil {
+		te.id = h.ID
+		close(te.acked)
+	}
+	c.inFlight.Add(1)
+	c.reply(Response{Type: "ack", ID: h.ID, Token: req.Token})
+}
+
+// resend answers a re-sent token: the original admission's ack (or error)
+// and, now or once it exists, its result.
+func (ss *session) resend(te *tokenEntry, token string) {
+	select {
+	case <-te.acked:
+	case <-ss.s.done:
+		return
+	}
+	if te.errResp != nil {
+		ss.c.reply(*te.errResp)
+		return
+	}
+	ss.c.begin()
+	te.mu.Lock()
+	if te.done {
+		ss.c.deliver(te.res, false)
+	} else {
+		te.waiters = append(te.waiters, ss.c)
+	}
+	te.mu.Unlock()
+	ss.c.reply(Response{Type: "ack", ID: te.id, Token: token})
+}
+
+// subscribe admits a query set as a subscription, or — for a token already
+// known — attaches this connection to the original one.
+func (ss *session) subscribe(req *Request) {
+	s := ss.s
+	var se *subEntry
+	if req.Token != "" {
+		s.tokMu.Lock()
+		se = s.subs[req.Token]
+		s.tokMu.Unlock()
+	}
+	if se == nil {
+		// Shed before registering the token, so a shed subscribe can be
+		// retried under the same token as a fresh admission.
+		if ss.overloaded(len(req.Queries)) {
+			ss.c.reply(Response{Type: "error", Code: CodeOverloaded, Token: req.Token,
+				Error: "server: connection in-flight cap reached"})
+			return
+		}
+		fresh := newSubEntry()
+		se = fresh
+		if req.Token != "" {
+			s.tokMu.Lock()
+			if prev, ok := s.subs[req.Token]; ok {
+				se = prev // a concurrent re-send won the race; attach to it
+			} else {
+				s.rememberSubLocked(req.Token, fresh)
+			}
+			s.tokMu.Unlock()
+		}
+		if se == fresh {
+			items, qs, slots := s.parseQueries(req.Queries)
+			handles, err := s.Engine.SubmitBatchNotify(qs, se.collect)
+			se.mu.Lock()
+			if err != nil {
+				se.errResp = &Response{Type: "error", Error: err.Error(), Code: errCode(err)}
+			} else {
+				for j, h := range handles {
+					items[slots[j]] = BatchItem{ID: h.ID}
+				}
+				se.items, se.total = items, len(handles)
+			}
+			se.mu.Unlock()
+			close(se.acked)
+		}
+	}
+	ss.attach(se, req.Token)
+}
+
+// attach streams a subscription over this connection: the batch reply and
+// every result collected so far, then each later result as it is delivered.
+// Every subscribe request — original or a token re-send after a reconnect —
+// attaches its connection and replays from the start; the client dedupes by
+// query id.
+func (ss *session) attach(se *subEntry, token string) {
+	select {
+	case <-se.acked:
+	case <-ss.s.done:
+		return
+	}
+	c := ss.c
+	c.begin()
+	se.mu.Lock()
+	resp := Response{Type: "batch", Items: se.items, Token: token}
+	if se.errResp != nil {
+		resp = *se.errResp
+		resp.Token = token
+	} else {
+		c.inFlight.Add(int64(se.total))
+		for _, r := range se.results {
+			c.deliver(r, true)
+		}
+		if len(se.results) < se.total {
+			se.conns = append(se.conns, c)
+		}
+	}
+	se.mu.Unlock()
+	c.reply(resp)
+}
+
+// parseQueries validates a batch-shaped payload: one BatchItem per input
+// (errors filled in for refused queries), plus the parsed queries and their
+// item slots.
+func (s *Server) parseQueries(queries []BatchQuery) ([]BatchItem, []*ir.Query, []int) {
+	items := make([]BatchItem, len(queries))
+	var qs []*ir.Query
+	var slots []int
+	for i, bq := range queries {
+		var q *ir.Query
+		var err error
+		switch {
+		case bq.SQL != "":
+			q, err = s.Engine.ParseSQL(bq.SQL)
+		case bq.IR != "":
+			q, err = ir.Parse(0, bq.IR)
+		default:
+			err = fmt.Errorf("batch query %d: neither sql nor ir set", i)
+		}
+		if err == nil {
+			err = q.Validate()
+		}
+		if err != nil {
+			items[i] = BatchItem{Error: err.Error()}
+			continue
+		}
+		qs = append(qs, q)
+		slots = append(slots, i)
+	}
+	return items, qs, slots
 }

@@ -16,6 +16,7 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 )
 
@@ -94,26 +95,19 @@ func NewGraph(cfg Config) *Graph {
 		m = 1
 	}
 	g := &Graph{N: cfg.N}
-	adjSet := make([]map[int32]struct{}, cfg.N)
+	edges := newEdgeSet(cfg.N * (m + 1))
 	adjList := make([][]int32, cfg.N) // append-order lists keep generation deterministic
-	for i := range adjSet {
-		adjSet[i] = make(map[int32]struct{}, m*2)
-	}
 	// Repeated-node list for preferential attachment: a node appears once
 	// per incident edge endpoint, so uniform sampling is degree-biased.
 	targets := make([]int32, 0, cfg.N*m*2)
-	addEdge := func(a, b int32) {
-		if a == b {
-			return
+	addEdge := func(a, b int32) bool {
+		if a == b || !edges.add(edgeKey(a, b)) {
+			return false
 		}
-		if _, dup := adjSet[a][b]; dup {
-			return
-		}
-		adjSet[a][b] = struct{}{}
-		adjSet[b][a] = struct{}{}
 		adjList[a] = append(adjList[a], b)
 		adjList[b] = append(adjList[b], a)
 		targets = append(targets, a, b)
+		return true
 	}
 	// Seed clique of m+1 nodes.
 	seedN := m + 1
@@ -129,14 +123,9 @@ func NewGraph(cfg Config) *Graph {
 		var attached []int32
 		for len(attached) < m && len(targets) > 0 {
 			t := targets[rng.Intn(len(targets))]
-			if t == int32(v) {
-				continue
+			if addEdge(int32(v), t) {
+				attached = append(attached, t)
 			}
-			if _, dup := adjSet[v][t]; dup {
-				continue
-			}
-			addEdge(int32(v), t)
-			attached = append(attached, t)
 		}
 		// Triangle closure: also befriend a friend of an attachment target.
 		if len(attached) > 0 && rng.Intn(2) == 0 {
@@ -175,8 +164,8 @@ func NewGraph(cfg Config) *Graph {
 	}
 
 	g.adj = adjList
-	for u := range g.adj {
-		sort.Slice(g.adj[u], func(i, j int) bool { return g.adj[u][i] < g.adj[u][j] })
+	for _, list := range g.adj {
+		slices.Sort(list)
 	}
 
 	// Airports.
@@ -212,6 +201,63 @@ func NewGraph(cfg Config) *Graph {
 		}
 	}
 	return g
+}
+
+// edgeSet is the set of undirected edges NewGraph has added: open
+// addressing with linear probing over edgeKey values, held in one []uint64
+// the collector never scans. A key is never 0 (self-loops are not edges),
+// so 0 marks an empty slot.
+type edgeSet struct {
+	slots []uint64 // length a power of two, at most half full
+	shift uint     // 64 - log2(len(slots)): Fibonacci hashing keeps the top bits
+	n     int
+}
+
+// newEdgeSet returns a set sized for about n edges without growing.
+func newEdgeSet(n int) *edgeSet {
+	bits := uint(4)
+	for 1<<bits < 2*n {
+		bits++
+	}
+	return &edgeSet{slots: make([]uint64, 1<<bits), shift: 64 - bits}
+}
+
+// edgeKey identifies the undirected edge {a, b}, a ≠ b.
+func edgeKey(a, b int32) uint64 {
+	if a > b {
+		a, b = b, a
+	}
+	return uint64(a)<<32 | uint64(b)
+}
+
+// slot returns the slot holding k, or the empty slot where k belongs.
+func (s *edgeSet) slot(k uint64) int {
+	mask := len(s.slots) - 1
+	i := int((k * 0x9E3779B97F4A7C15) >> s.shift)
+	for s.slots[i] != 0 && s.slots[i] != k {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// add inserts k and reports whether it was absent.
+func (s *edgeSet) add(k uint64) bool {
+	i := s.slot(k)
+	if s.slots[i] == k {
+		return false
+	}
+	s.slots[i] = k
+	s.n++
+	if 2*s.n > len(s.slots) {
+		old := s.slots
+		s.slots, s.shift = make([]uint64, 2*len(old)), s.shift-1
+		for _, k := range old {
+			if k != 0 {
+				s.slots[s.slot(k)] = k
+			}
+		}
+	}
+	return true
 }
 
 // airportCode produces distinct three-letter codes: AAA, AAB, …
