@@ -23,7 +23,7 @@ import (
 //   - "wal=off": a data directory with fsync policy Off — records are
 //     framed and buffered, a background goroutine flushes them, nothing
 //     fsyncs on the submission path. This is the "durability plumbing"
-//     overhead: the admit record, the q.String() capture, the result
+//     overhead: the admit record, the query's binary encoding, the result
 //     records. Its allocation count is pinned (AllocLimit) so the logging
 //     fast path cannot silently grow;
 //   - "wal=batch": group fsync on a background tick — arrivals pay the

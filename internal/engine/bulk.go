@@ -81,7 +81,7 @@ func (e *Engine) SubmitBulk(qs []*ir.Query, opt BulkOptions) ([]*Handle, error) 
 		items[i] = bulkItem{renamed: q.RenamedCopy(id), rels: relss[i], handle: h, at: now}
 		handles[i] = h
 		if e.wal != nil {
-			items[i].src = q.String()
+			items[i].src = encodeQuery(q)
 			recs[i] = wal.AdmitRecord(int64(id), q.Choose, q.Owner, items[i].src, now.UnixNano())
 		}
 	}
@@ -144,7 +144,8 @@ func (e *Engine) SubmitBulk(qs []*ir.Query, opt BulkOptions) ([]*Handle, error) 
 // ingest. at is the item's submission time — SubmitBulk stamps the call
 // time on every item, while crash recovery restores each pending query's
 // ORIGINAL submission time so staleness deadlines survive a restart. src
-// is the original query text for checkpointing (durable engines only).
+// is the original query's binary form for checkpointing (durable engines
+// only).
 type bulkItem struct {
 	renamed *ir.Query
 	rels    []string

@@ -62,11 +62,15 @@ func Open(db *memdb.DB, cfg Config) (*Engine, error) {
 	}
 	e := New(db, cfg)
 	e.nextID.Store(rec.NextID)
-	// Every engine-assigned ID was a submission, so the historical
-	// Submitted total is NextID; the re-submission below re-attributes the
-	// still-pending share to live shards.
+	// The historical Submitted total is every durably resolved query; the
+	// re-submission below adds the still-pending ones on live shards, so
+	// Submitted = Answered + Rejected + RejectedUnsafe + ExpiredStale +
+	// Pending holds after recovery too. Not NextID: a durable prefix can
+	// skip an ID — an admit dropped for a result the crash cut off, while a
+	// later admit was already framed — and that query is simply lost.
 	e.recoveredBase = Stats{
-		Submitted:      int(rec.NextID) - len(rec.Pending),
+		Submitted: int(rec.Counters.Answered + rec.Counters.Unsafe +
+			rec.Counters.Rejected + rec.Counters.Stale),
 		Answered:       int(rec.Counters.Answered),
 		RejectedUnsafe: int(rec.Counters.Unsafe),
 		Rejected:       int(rec.Counters.Rejected),
@@ -101,6 +105,13 @@ func Open(db *memdb.DB, cfg Config) (*Engine, error) {
 // recovery round have their Result already buffered.
 func (e *Engine) Recovered() []*Handle { return e.recovered }
 
+// encodeQuery is the durable form of an admitted query: ir's exact binary
+// encoding, written once into the admit record and kept for checkpoints.
+func encodeQuery(q *ir.Query) string {
+	var buf [256]byte
+	return string(ir.AppendBinary(buf[:0], q))
+}
+
 // restorePending re-ingests checkpointed pending queries through the bulk
 // path with their ORIGINAL engine-assigned IDs and submission times.
 func (e *Engine) restorePending(pending []wal.PendingQuery) error {
@@ -112,13 +123,9 @@ func (e *Engine) restorePending(pending []wal.PendingQuery) error {
 	relss := make([][]string, n)
 	handles := make([]*Handle, n)
 	for i, p := range pending {
-		q, err := ir.Parse(0, p.IR)
+		q, err := ir.DecodeBinary(p.IR)
 		if err != nil {
 			return fmt.Errorf("engine: recover pending query %d: %w", p.ID, err)
-		}
-		q.Owner = p.Owner
-		if p.Choose > 0 {
-			q.Choose = p.Choose
 		}
 		if err := q.Validate(); err != nil {
 			return fmt.Errorf("engine: recover pending query %d: %w", p.ID, err)

@@ -20,9 +20,13 @@ import (
 
 // durCfg is the crash-harness engine configuration: one shard and seed 0
 // so coordination is fully deterministic, no staleness, no periodic
-// checkpoints (the tests checkpoint explicitly).
+// checkpoints (the tests checkpoint explicitly), and no background flush
+// tick — the log commits at SyncWAL and Close only, so which admits it
+// holds back and drops, and therefore every byte it writes, is
+// deterministic too.
 func durCfg(dir string, pol wal.Policy) Config {
-	return Config{Mode: Incremental, Shards: 1, Seed: 0, DataDir: dir, Durability: pol, CheckpointEvery: -1}
+	return Config{Mode: Incremental, Shards: 1, Seed: 0, DataDir: dir, Durability: pol,
+		CheckpointEvery: -1, WALFlushInterval: time.Hour}
 }
 
 // crashSchema loads the flight data through the logged DDL path. Rome has
@@ -32,28 +36,76 @@ const crashSchema = `CREATE TABLE F (fno, dest);
 INSERT INTO F VALUES ('136', 'Rome');
 INSERT INTO F VALUES ('122', 'Paris');`
 
+// crashUsers adds the users the kill-point harness's eqsql-style queries
+// join against, spelled like the benchmark's: lowercase, with digits.
+const crashUsers = `CREATE TABLE U (uid, city);
+INSERT INTO U VALUES ('u81', 'paris');
+INSERT INTO U VALUES ('u82', 'paris');
+INSERT INTO U VALUES ('u83', 'oslo');`
+
 // crashWorkload returns the harness queries in submission (= ID) order:
 //   - three coordinating pairs over the unique Rome flight (answered);
 //   - two never-matching singles (stay pending);
+//   - a pair and a single spelled the way eqsql and the benchmark spell
+//     them — constants that start lowercase or carry digits (u81,
+//     'paris'), variables that start with an underscore (_c4), none of
+//     which the IR text form reads back — (the pair answered, the single
+//     pending), then the same again translated from SQL by the engine;
 //   - a pair over a destination with no data (both rejected); and
 //   - a trio whose third member double-feeds a postcondition (unsafe at
 //     admission; the first two stay pending, their component never closes).
-func crashWorkload() []string {
-	var qs []string
+func crashWorkload(t *testing.T, e *Engine) []*ir.Query {
+	t.Helper()
+	var qs []*ir.Query
 	for i := 1; i <= 3; i++ {
 		qs = append(qs,
-			fmt.Sprintf("{R%d(J, x)} R%d(K, x) :- F(x, Rome)", i, i),
-			fmt.Sprintf("{R%d(K, y)} R%d(J, y) :- F(y, Rome)", i, i),
+			ir.MustParse(0, fmt.Sprintf("{R%d(J, x)} R%d(K, x) :- F(x, Rome)", i, i)),
+			ir.MustParse(0, fmt.Sprintf("{R%d(K, y)} R%d(J, y) :- F(y, Rome)", i, i)),
 		)
 	}
+	c := ir.Const
+	friends := func(rel, me, them string) *ir.Query {
+		f, city := ir.Var("_fno1"), ir.Var("_c4")
+		return &ir.Query{Choose: 1,
+			Heads: []ir.Atom{ir.NewAtom(rel, c(me), f)},
+			Posts: []ir.Atom{ir.NewAtom(rel, c(them), f)},
+			Body: []ir.Atom{
+				ir.NewAtom("F", f, c("Rome")),
+				ir.NewAtom("U", c(me), city),
+				ir.NewAtom("U", c(them), city),
+			}}
+	}
 	qs = append(qs,
-		"{S1(A, x)} S1(B, x) :- F(x, Rome)",
-		"{S2(A, x)} S2(B, x) :- F(x, Rome)",
-		"{N(P, x)} N(Q, x) :- F(x, Nowhere)",
-		"{N(Q, y)} N(P, y) :- F(y, Nowhere)",
-		"{W(J, x)} W(K, x) :- F(x, Rome)",
-		"{W(Z, y)} W(J, y) :- F(y, Rome)",
-		"{W(V, z)} W(J, z) :- F(z, Rome)", // second feeder of W(J, ·) → unsafe
+		ir.MustParse(0, "{S1(A, x)} S1(B, x) :- F(x, Rome)"),
+		ir.MustParse(0, "{S2(A, x)} S2(B, x) :- F(x, Rome)"),
+		friends("T_t38", "u81", "u82"),
+		friends("T_t38", "u82", "u81"),
+		&ir.Query{Choose: 1, Owner: "u83",
+			Heads: []ir.Atom{ir.NewAtom("P", c("u83"), ir.Var("_fno1"))},
+			Posts: []ir.Atom{ir.NewAtom("P", c("u81"), ir.Var("_fno1"))},
+			Body: []ir.Atom{
+				ir.NewAtom("F", ir.Var("_fno1"), c("Rome")),
+				ir.NewAtom("U", c("u81"), c("paris")),
+			}},
+	)
+	for _, sql := range []string{
+		"SELECT 'u81', fno INTO ANSWER V WHERE fno IN (SELECT fno FROM F WHERE dest = 'Rome') AND ('u82', fno) IN ANSWER V CHOOSE 1",
+		"SELECT 'u82', fno INTO ANSWER V WHERE fno IN (SELECT fno FROM F WHERE dest = 'Rome') AND ('u81', fno) IN ANSWER V CHOOSE 1",
+		"SELECT 'u83', fno INTO ANSWER Q WHERE ('u81', fno) IN ANSWER Q AND fno IN (SELECT T0.fno FROM F T0, U T1, U T2 " +
+			"WHERE T0.dest = 'Rome' AND T1.uid = 'u83' AND T2.uid = 'u81' AND T2.city = T1.city) CHOOSE 1",
+	} {
+		q, err := e.ParseSQL(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qs = append(qs, q)
+	}
+	qs = append(qs,
+		ir.MustParse(0, "{N(P, x)} N(Q, x) :- F(x, Nowhere)"),
+		ir.MustParse(0, "{N(Q, y)} N(P, y) :- F(y, Nowhere)"),
+		ir.MustParse(0, "{W(J, x)} W(K, x) :- F(x, Rome)"),
+		ir.MustParse(0, "{W(Z, y)} W(J, y) :- F(y, Rome)"),
+		ir.MustParse(0, "{W(V, z)} W(J, z) :- F(z, Rome)"), // second feeder of W(J, ·) → unsafe
 	)
 	return qs
 }
@@ -104,16 +156,21 @@ func pollHandle(h *Handle) outcome {
 	}
 }
 
-// replayPrefix decodes the durable prefix of a WAL byte stream: admits in
-// log order, per-ID terminal outcomes, replayed DDL scripts, and the byte
-// offset after each fully framed record (the valid crash points).
-func replayPrefix(tb testing.TB, b []byte) (admits []wal.Admit, resulted map[int64]outcome, ddls []string, bounds []int64) {
+// replayPrefix decodes the durable prefix of a WAL byte stream: the IDs
+// it admits in ascending order — logged admits plus the queries whose admit
+// was dropped because they resolved inside its commit window, known by
+// their Unlogged result entries — per-ID terminal outcomes, replayed DDL
+// scripts, and the byte offset after each fully framed record (the valid
+// crash points). Every logged admit must decode to exactly the query sent
+// under its ID.
+func replayPrefix(tb testing.TB, b []byte, sent map[int64]*ir.Query) (admitted []int64, resulted map[int64]outcome, ddls []string, bounds []int64) {
 	tb.Helper()
 	resulted = make(map[int64]outcome)
 	rd := wal.NewReader(bytes.NewReader(b))
 	for {
 		r, err := rd.Next()
 		if err == io.EOF || errors.Is(err, wal.ErrTorn) {
+			sort.Slice(admitted, func(i, j int) bool { return admitted[i] < admitted[j] })
 			return
 		}
 		if err != nil {
@@ -122,10 +179,21 @@ func replayPrefix(tb testing.TB, b []byte) (admits []wal.Admit, resulted map[int
 		bounds = append(bounds, rd.Offset())
 		switch r.Kind {
 		case wal.KindAdmit:
-			admits = append(admits, r.Admit)
+			a := r.Admit
+			q, err := ir.DecodeBinary(a.IR)
+			if err != nil {
+				tb.Fatalf("admit %d: %v", a.ID, err)
+			}
+			if want := sent[a.ID]; want == nil || !q.Equal(want) || a.Owner != want.Owner || a.Choose != want.Choose {
+				tb.Fatalf("admit %d logs %s (owner %q, choose %d), sent %v", a.ID, q, a.Owner, a.Choose, want)
+			}
+			admitted = append(admitted, a.ID)
 		case wal.KindResults:
 			for _, qr := range r.Results {
 				resulted[qr.ID] = outcomeOfTuples(qr.Status, qr.Tuples)
+				if qr.Unlogged {
+					admitted = append(admitted, qr.ID)
+				}
 			}
 		case wal.KindDDL:
 			ddls = append(ddls, r.Script)
@@ -137,7 +205,7 @@ func replayPrefix(tb testing.TB, b []byte) (admits []wal.Admit, resulted map[int
 // non-durable engine with the same configuration, fed the prefix's DDL and
 // then the admitted queries one at a time in ID order. Returns each
 // original ID's outcome.
-func comparatorOutcomes(t *testing.T, admits []wal.Admit, ddls []string) map[int64]outcome {
+func comparatorOutcomes(t *testing.T, admitted []int64, sent map[int64]*ir.Query, ddls []string) map[int64]outcome {
 	t.Helper()
 	db := memdb.New()
 	for _, s := range ddls {
@@ -147,21 +215,13 @@ func comparatorOutcomes(t *testing.T, admits []wal.Admit, ddls []string) map[int
 	}
 	e := New(db, Config{Mode: Incremental, Shards: 1, Seed: 0})
 	defer e.Close()
-	handles := make(map[int64]*Handle, len(admits))
-	for _, a := range admits {
-		q, err := ir.Parse(0, a.IR)
+	handles := make(map[int64]*Handle, len(admitted))
+	for _, id := range admitted {
+		h, err := e.Submit(sent[id])
 		if err != nil {
 			t.Fatal(err)
 		}
-		q.Owner = a.Owner
-		if a.Choose > 0 {
-			q.Choose = a.Choose
-		}
-		h, err := e.Submit(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		handles[a.ID] = h
+		handles[id] = h
 	}
 	e.Flush()
 	out := make(map[int64]outcome, len(handles))
@@ -219,7 +279,7 @@ func (img dirImage) materialize(t *testing.T, cut int64, mutate func([]byte)) st
 // pending set is exactly admitted-minus-resulted, and every admitted ID's
 // combined outcome (durable result, post-recovery delivery, or still
 // pending) matches the comparator's.
-func checkRecovery(t *testing.T, dir string, pol wal.Policy, admits []wal.Admit, resulted map[int64]outcome, ddls []string) {
+func checkRecovery(t *testing.T, dir string, pol wal.Policy, admitted []int64, sent map[int64]*ir.Query, resulted map[int64]outcome, ddls []string) {
 	t.Helper()
 	e, err := Open(memdb.New(), durCfg(dir, pol))
 	if err != nil {
@@ -228,12 +288,12 @@ func checkRecovery(t *testing.T, dir string, pol wal.Policy, admits []wal.Admit,
 	defer e.Close()
 
 	wantPending := make(map[int64]bool)
-	for _, a := range admits {
-		if _, done := resulted[a.ID]; !done {
-			wantPending[a.ID] = true
+	for _, id := range admitted {
+		if _, done := resulted[id]; !done {
+			wantPending[id] = true
 		}
 	}
-	combined := make(map[int64]outcome, len(admits))
+	combined := make(map[int64]outcome, len(admitted))
 	for id, o := range resulted {
 		combined[id] = o
 	}
@@ -248,23 +308,23 @@ func checkRecovery(t *testing.T, dir string, pol wal.Policy, admits []wal.Admit,
 		combined[int64(h.ID)] = pollHandle(h)
 	}
 
-	want := comparatorOutcomes(t, admits, ddls)
-	for _, a := range admits {
-		if combined[a.ID] != want[a.ID] {
-			t.Errorf("query %d: recovered outcome %+v, comparator %+v", a.ID, combined[a.ID], want[a.ID])
+	want := comparatorOutcomes(t, admitted, sent, ddls)
+	for _, id := range admitted {
+		if combined[id] != want[id] {
+			t.Errorf("query %d: recovered outcome %+v, comparator %+v", id, combined[id], want[id])
 		}
 	}
-	if st := e.Stats(); st.Submitted != len(admits) {
-		t.Errorf("recovered Stats.Submitted = %d, want %d", st.Submitted, len(admits))
+	if st := e.Stats(); st.Submitted != len(admitted) {
+		t.Errorf("recovered Stats.Submitted = %d, want %d", st.Submitted, len(admitted))
 	}
 }
 
 // TestCrashRecoveryKillPoints is the durability acceptance harness: it
 // runs a deterministic workload on a durable engine, captures the disk
-// state, then "crashes" at every record boundary of the WAL — and in the
-// middle of every record, where the torn frame must be CRC-rejected — and
-// checks each recovered engine is observationally equivalent to one that
-// received exactly the durable-prefix admissions and never crashed.
+// state, then "crashes" at every byte offset of the WAL — record
+// boundaries, and torn frames that must be rejected — and checks each
+// recovered engine is observationally equivalent to one that received
+// exactly the durable-prefix admissions and never crashed.
 func TestCrashRecoveryKillPoints(t *testing.T) {
 	for _, pol := range []wal.Policy{wal.Batch, wal.Sync} {
 		t.Run(pol.String(), func(t *testing.T) {
@@ -273,32 +333,36 @@ func TestCrashRecoveryKillPoints(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := e.Load(crashSchema); err != nil {
-				t.Fatal(err)
+			for _, script := range []string{crashSchema, crashUsers} {
+				if err := e.Load(script); err != nil {
+					t.Fatal(err)
+				}
 			}
-			qs := crashWorkload()
+			qs := crashWorkload(t, e)
 			// Exercise all three admission paths: singles, one batch, one
 			// bulk (each appends its admit records ahead of admission).
 			var handles []*Handle
-			for _, text := range qs[:len(qs)-4] {
-				h, err := e.Submit(ir.MustParse(0, text))
+			for _, q := range qs[:len(qs)-4] {
+				h, err := e.Submit(q)
 				if err != nil {
 					t.Fatal(err)
 				}
 				handles = append(handles, h)
 			}
-			batch := []*ir.Query{ir.MustParse(0, qs[len(qs)-4]), ir.MustParse(0, qs[len(qs)-3])}
-			bh, err := e.SubmitBatch(batch)
+			bh, err := e.SubmitBatch(qs[len(qs)-4 : len(qs)-2])
 			if err != nil {
 				t.Fatal(err)
 			}
 			handles = append(handles, bh...)
-			bulk := []*ir.Query{ir.MustParse(0, qs[len(qs)-2]), ir.MustParse(0, qs[len(qs)-1])}
-			bk, err := e.SubmitBulk(bulk, BulkOptions{})
+			bk, err := e.SubmitBulk(qs[len(qs)-2:], BulkOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			handles = append(handles, bk...)
+			sent := make(map[int64]*ir.Query, len(qs))
+			for i, h := range handles {
+				sent[int64(h.ID)] = qs[i]
+			}
 			e.Flush()
 			if err := e.SyncWAL(); err != nil {
 				t.Fatal(err)
@@ -306,30 +370,21 @@ func TestCrashRecoveryKillPoints(t *testing.T) {
 			img := captureDir(t, dir)
 			e.Close()
 
-			admitsAll, _, _, bounds := replayPrefix(t, img.wal)
-			if len(admitsAll) != len(qs) {
-				t.Fatalf("logged %d admits, want %d", len(admitsAll), len(qs))
+			admittedAll, _, _, bounds := replayPrefix(t, img.wal, sent)
+			if len(admittedAll) != len(qs) {
+				t.Fatalf("logged %d admissions, want %d", len(admittedAll), len(qs))
 			}
 
-			// Crash at every boundary (durable prefix ends cleanly) and at a
-			// mid-record offset inside every record (torn tail: the partial
-			// frame fails its CRC and must be discarded).
-			cuts := []int64{0}
-			prev := int64(0)
-			for _, b := range bounds {
-				if mid := prev + (b-prev)/2; mid > prev {
-					cuts = append(cuts, mid)
-				}
-				cuts = append(cuts, b)
-				prev = b
-			}
-			for _, cut := range cuts {
+			// Crash at every byte offset: on a record boundary the durable
+			// prefix ends cleanly; anywhere else the torn frame (or log
+			// header) fails validation and must be discarded.
+			for cut := int64(0); cut <= int64(len(img.wal)); cut++ {
 				cut := cut
 				t.Run(fmt.Sprintf("cut=%d", cut), func(t *testing.T) {
 					t.Parallel()
 					crashDir := img.materialize(t, cut, nil)
-					admits, resulted, ddls, _ := replayPrefix(t, img.wal[:cut])
-					checkRecovery(t, crashDir, pol, admits, resulted, ddls)
+					admitted, resulted, ddls, _ := replayPrefix(t, img.wal[:cut], sent)
+					checkRecovery(t, crashDir, pol, admitted, sent, resulted, ddls)
 				})
 			}
 
@@ -342,8 +397,8 @@ func TestCrashRecoveryKillPoints(t *testing.T) {
 					crashDir := img.materialize(t, int64(len(img.wal)), func(b []byte) {
 						b[bounds[i]+9] ^= 0x40 // a payload byte of record i+1
 					})
-					admits, resulted, ddls, _ := replayPrefix(t, img.wal[:bounds[i]])
-					checkRecovery(t, crashDir, pol, admits, resulted, ddls)
+					admitted, resulted, ddls, _ := replayPrefix(t, img.wal[:bounds[i]], sent)
+					checkRecovery(t, crashDir, pol, admitted, sent, resulted, ddls)
 				})
 			}
 		})
@@ -370,14 +425,17 @@ func TestCrashRecoveryMidStreamCheckpoint(t *testing.T) {
 		"{P1(K, y)} P1(J, y) :- F(y, Rome)",
 		"{P2(A, x)} P2(B, x) :- F(x, Rome)",
 	}
-	var p1Admits []wal.Admit
+	sent := make(map[int64]*ir.Query)
+	var p1IDs []int64
 	var p1Handles []*Handle
 	for _, text := range phase1 {
-		h, err := e.Submit(ir.MustParse(0, text))
+		q := ir.MustParse(0, text)
+		h, err := e.Submit(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p1Admits = append(p1Admits, wal.Admit{ID: int64(h.ID), Choose: 1, IR: text})
+		sent[int64(h.ID)] = q
+		p1IDs = append(p1IDs, int64(h.ID))
 		p1Handles = append(p1Handles, h)
 	}
 	e.Flush()
@@ -392,7 +450,7 @@ func TestCrashRecoveryMidStreamCheckpoint(t *testing.T) {
 		if o.status != wal.StatusAnswered {
 			t.Fatalf("phase-1 pair member %d not answered: %+v", i, o)
 		}
-		p1Resolved[p1Admits[i].ID] = o
+		p1Resolved[p1IDs[i]] = o
 	}
 
 	// Phase 2: a second single and the partner that closes phase 1's P2.
@@ -401,9 +459,12 @@ func TestCrashRecoveryMidStreamCheckpoint(t *testing.T) {
 		"{P2(B, y)} P2(A, y) :- F(y, Rome)",
 	}
 	for _, text := range phase2 {
-		if _, err := e.Submit(ir.MustParse(0, text)); err != nil {
+		q := ir.MustParse(0, text)
+		h, err := e.Submit(q)
+		if err != nil {
 			t.Fatal(err)
 		}
+		sent[int64(h.ID)] = q
 	}
 	e.Flush()
 	if err := e.SyncWAL(); err != nil {
@@ -412,20 +473,19 @@ func TestCrashRecoveryMidStreamCheckpoint(t *testing.T) {
 	img := captureDir(t, dir)
 	e.Close()
 
-	p2Admits, _, _, bounds := replayPrefix(t, img.wal)
-	if len(p2Admits) != len(phase2) {
-		t.Fatalf("phase-2 log has %d admits, want %d", len(p2Admits), len(phase2))
+	p2Admitted, _, _, _ := replayPrefix(t, img.wal, sent)
+	if len(p2Admitted) != len(phase2) {
+		t.Fatalf("phase-2 log has %d admissions, want %d", len(p2Admitted), len(phase2))
 	}
-	cuts := append([]int64{0}, bounds...)
-	for _, cut := range cuts {
+	for cut := int64(0); cut <= int64(len(img.wal)); cut++ {
 		cut := cut
 		t.Run(fmt.Sprintf("cut=%d", cut), func(t *testing.T) {
 			t.Parallel()
 			crashDir := img.materialize(t, cut, nil)
-			admits, resulted, _, _ := replayPrefix(t, img.wal[:cut])
+			admitted, resulted, _, _ := replayPrefix(t, img.wal[:cut], sent)
 			// Combined history: phase-1 admits (with their pre-checkpoint
 			// outcomes) followed by the prefix's phase-2 admits.
-			all := append(append([]wal.Admit(nil), p1Admits...), admits...)
+			all := append(append([]int64(nil), p1IDs...), admitted...)
 			combined := make(map[int64]outcome, len(all))
 			for id, o := range p1Resolved {
 				combined[id] = o
@@ -433,7 +493,7 @@ func TestCrashRecoveryMidStreamCheckpoint(t *testing.T) {
 			for id, o := range resulted {
 				combined[id] = o
 			}
-			checkRecovery(t, crashDir, pol, all, combined, []string{crashSchema})
+			checkRecovery(t, crashDir, pol, all, sent, combined, []string{crashSchema})
 		})
 	}
 }

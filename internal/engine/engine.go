@@ -376,11 +376,12 @@ type pendingQuery struct {
 	rels      []string  // coordination signature (routing key)
 	handle    *Handle
 	submitted time.Time
-	// src is the ORIGINAL query's text form (pre-rename), captured only on
-	// durable engines: checkpoints persist it so recovery re-parses and
-	// re-submits the query exactly as first admitted (re-serialising the
-	// renamed copy would stack "q<id>·" variable prefixes on every
-	// crash/recover cycle). Empty when the engine has no WAL.
+	// src is the ORIGINAL query (pre-rename) in ir's binary form, captured
+	// only on durable engines: the admit record carries it and checkpoints
+	// persist the same bytes, so recovery decodes and re-submits the query
+	// exactly as first admitted (re-encoding the renamed copy would stack
+	// "q<id>·" variable prefixes on every crash/recover cycle). Empty when
+	// the engine has no WAL.
 	src string
 }
 
@@ -609,7 +610,7 @@ func (e *Engine) SubmitNotify(q *ir.Query, fn func(Result)) (*Handle, error) {
 	// unlogged admission. A failed append rejects the submission outright.
 	var src string
 	if e.wal != nil {
-		src = q.String()
+		src = encodeQuery(q)
 		if err := e.wal.Append(wal.AdmitRecord(int64(id), q.Choose, q.Owner, src, now.UnixNano())); err != nil {
 			return nil, fmt.Errorf("engine: wal admit: %w", err)
 		}
@@ -825,7 +826,7 @@ func (e *Engine) SubmitBatchNotify(qs []*ir.Query, fn func(Result)) ([]*Handle, 
 		relss[i] = coordRels(q)
 		handles[i] = &Handle{ID: id, ch: make(chan Result, 1), hook: fn}
 		if e.wal != nil {
-			srcs[i] = q.String()
+			srcs[i] = encodeQuery(q)
 			recs[i] = wal.AdmitRecord(int64(id), q.Choose, q.Owner, srcs[i], now.UnixNano())
 		}
 	}

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -234,6 +235,58 @@ AND ('Kramer', fno) IN ANSWER R CHOOSE 1`)
 	}
 	if _, err := e.SubmitSQL("SELECT nonsense"); err == nil {
 		t.Fatal("bad SQL must error")
+	}
+}
+
+// TestSubmitSQLCliqueFreshNames submits a 4-clique in the shape of
+// workload.Clique, rendered to SQL the way the benchmark renders it: each
+// member's U and F atoms interleave, so the translator mints more than a
+// dozen fresh variables for columns u and u1. Their names must stay
+// distinct (_u.13 is not _u1.3), or the translator equates two different
+// users and every member is rejected.
+func TestSubmitSQLCliqueFreshNames(t *testing.T) {
+	db := memdb.New()
+	db.MustCreateTable("F", "u1", "u2")
+	db.MustCreateTable("U", "u", "city")
+	clique := []string{"u81", "u82", "u83", "u84"}
+	for _, u := range clique {
+		db.MustInsert("U", u, "paris")
+		for _, v := range clique {
+			if u != v {
+				db.MustInsert("F", u, v)
+			}
+		}
+	}
+	e := New(db, Config{Mode: Incremental})
+	defer e.Close()
+	var handles []*Handle
+	for _, me := range clique {
+		sql := fmt.Sprintf("SELECT '%s', 'Rome' INTO ANSWER G WHERE ", me)
+		from := []string{"U T0"}
+		conds := []string{fmt.Sprintf("T0.u = '%s'", me)}
+		for _, v := range clique {
+			if v == me {
+				continue
+			}
+			sql += fmt.Sprintf("('%s', 'Rome') IN ANSWER G AND ", v)
+			f, u := fmt.Sprintf("T%d", len(from)), fmt.Sprintf("T%d", len(from)+1)
+			from = append(from, "F "+f, "U "+u)
+			conds = append(conds,
+				fmt.Sprintf("%s.u1 = '%s' AND %s.u2 = '%s'", f, me, f, v),
+				fmt.Sprintf("%s.u = '%s' AND %s.city = T0.city", u, v, u))
+		}
+		sql += fmt.Sprintf("c IN (SELECT T0.city FROM %s WHERE %s) CHOOSE 1",
+			strings.Join(from, ", "), strings.Join(conds, " AND "))
+		h, err := e.SubmitSQL(sql)
+		if err != nil {
+			t.Fatalf("%s: %v", me, err)
+		}
+		handles = append(handles, h)
+	}
+	for i, h := range handles {
+		if r := mustResult(t, h); r.Status != StatusAnswered {
+			t.Fatalf("member %s: %v (%s)", clique[i], r.Status, r.Detail)
+		}
 	}
 }
 

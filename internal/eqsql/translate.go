@@ -104,9 +104,13 @@ type translator struct {
 	errText string
 }
 
+// freshVar names a new variable "_<hint>.<counter>". The counter follows
+// the last '.', so distinct (hint, counter) pairs never share a name
+// (without the separator, _u+13 and _u1+3 did), and no bare identifier of
+// the statement contains a '.', so neither can an outer-scope variable.
 func (tr *translator) freshVar(hint string) ir.Term {
 	tr.fresh++
-	return ir.Var(fmt.Sprintf("_%s%d", hint, tr.fresh))
+	return ir.Var("_" + hint + "." + strconv.Itoa(tr.fresh))
 }
 
 // outerVar returns the shared variable for a bare identifier at the outer

@@ -49,3 +49,24 @@ func FuzzParseIR(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeBinary throws arbitrary bytes at the durable query decoder.
+// The contract: never panic, and anything it accepts re-encodes to exactly
+// the input (the encoding is canonical), so a decoded record means one
+// thing only.
+func FuzzDecodeBinary(f *testing.F) {
+	for _, q := range adversarialQueries() {
+		f.Add(string(AppendBinary(nil, q)))
+	}
+	f.Add("")
+	f.Add("\x02\x00\xff\xff\xff\xff\x0f")
+	f.Fuzz(func(t *testing.T, src string) {
+		q, err := DecodeBinary(src)
+		if err != nil {
+			return
+		}
+		if got := string(AppendBinary(nil, q)); got != src {
+			t.Fatalf("decoded %q as %s, which re-encodes as %q", src, q, got)
+		}
+	})
+}

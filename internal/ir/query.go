@@ -135,6 +135,27 @@ func (q *Query) Vars() []string {
 	return out
 }
 
+// Equal reports whether q and o are identical field for field: ID, Owner,
+// Choose and the three atom lists term for term (a nil list equals an
+// empty one).
+func (q *Query) Equal(o *Query) bool {
+	if q.ID != o.ID || q.Owner != o.Owner || q.Choose != o.Choose {
+		return false
+	}
+	for i, group := range [3][]Atom{q.Heads, q.Posts, q.Body} {
+		other := [3][]Atom{o.Heads, o.Posts, o.Body}[i]
+		if len(group) != len(other) {
+			return false
+		}
+		for j := range group {
+			if !group[j].Equal(other[j]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // PostCount returns the number of postcondition atoms (PCCOUNT in
 // Section 4.1.1).
 func (q *Query) PostCount() int { return len(q.Posts) }

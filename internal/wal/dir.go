@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
@@ -35,11 +36,12 @@ import (
 const (
 	checkpointName    = "checkpoint.d3c"
 	checkpointMagic   = "D3CCKPT1"
-	checkpointVersion = 1
+	checkpointVersion = 2
 )
 
 // ErrCheckpointVersion reports a checkpoint written by an incompatible
-// format version; test with errors.Is.
+// format version (version 1 held pending queries as IR text); test with
+// errors.Is.
 var ErrCheckpointVersion = errors.New("wal: unsupported checkpoint version")
 
 // ErrNoLog is returned by Append before the first checkpoint establishes
@@ -55,9 +57,10 @@ var ErrNoLog = errors.New("wal: no active log (initial checkpoint required)")
 var ErrPoisoned = errors.New("wal: epoch poisoned by append/fsync failure (checkpoint to clear)")
 
 // PendingQuery is one not-yet-resolved admission, as persisted in a
-// checkpoint and as reconstructed by Recover. IR is the original query's
-// text form; re-parsing and re-submitting it through the normal admission
-// path rebuilds graph, component index and router state by construction.
+// checkpoint and as reconstructed by Recover. IR is the original query in
+// the engine's encoding (the admit record's bytes, verbatim); decoding and
+// re-submitting it through the normal admission path rebuilds graph,
+// component index and router state by construction.
 type PendingQuery struct {
 	ID                int64
 	Choose            int
@@ -167,86 +170,93 @@ func (d *Dir) walPath(epoch uint64) string {
 // Recover loads the latest checkpoint (if any) into db and replays the
 // durable prefix of its log: DDL records re-execute against db, admissions
 // accumulate into the pending set, result records retire their queries and
-// advance the counters. It does NOT open a log for appending — the caller
-// must take an initial Checkpoint before the first Append, which also
-// truncates any torn tail by rotating to a fresh epoch.
+// advance the counters (an Unlogged entry counts and raises NextID without
+// a pending admission to retire). A checkpoint or log in another format
+// version fails with ErrCheckpointVersion or ErrLogVersion. It does NOT
+// open a log for appending — the caller must take an initial Checkpoint
+// before the first Append, which also truncates any torn tail by rotating
+// to a fresh epoch.
 func (d *Dir) Recover(db SnapshotDB) (*Recovered, error) {
-	rec := &Recovered{}
-	pending := make(map[int64]PendingQuery)
+	var st CheckpointState
 	ckptPath := filepath.Join(d.path, checkpointName)
 	if _, err := d.fs.Stat(ckptPath); err == nil {
-		st, err := readCheckpoint(d.fs, ckptPath, db)
-		if err != nil {
+		if st, err = readCheckpoint(d.fs, ckptPath, db); err != nil {
 			return nil, err
 		}
 		d.epoch = st.WALEpoch
-		rec.NextID = st.NextID
-		rec.Counters = st.Counters
-		for _, p := range st.Pending {
-			pending[p.ID] = p
-		}
 	} else if !errors.Is(err, os.ErrNotExist) {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-
-	if f, err := d.fs.Open(d.walPath(d.epoch)); err == nil {
-		defer f.Close()
-		rd := NewReader(f)
-		for {
-			r, err := rd.Next()
-			if err == io.EOF {
-				break
-			}
-			if errors.Is(err, ErrTorn) {
-				rec.Torn = true
-				break
-			}
-			if err != nil {
-				return nil, err
-			}
-			rec.Replayed++
-			switch r.Kind {
-			case KindAdmit:
-				pending[r.Admit.ID] = PendingQuery{
-					ID: r.Admit.ID, Choose: r.Admit.Choose, Owner: r.Admit.Owner,
-					IR: r.Admit.IR, SubmittedUnixNano: r.Admit.SubmittedUnixNano,
-				}
-				if r.Admit.ID > rec.NextID {
-					rec.NextID = r.Admit.ID
-				}
-			case KindResults:
-				for _, qr := range r.Results {
-					if _, ok := pending[qr.ID]; !ok {
-						continue // duplicate delivery record; replay is idempotent
-					}
-					delete(pending, qr.ID)
-					switch qr.Status {
-					case StatusAnswered:
-						rec.Counters.Answered++
-					case StatusUnsafe:
-						rec.Counters.Unsafe++
-					case StatusRejected:
-						rec.Counters.Rejected++
-					case StatusStale:
-						rec.Counters.Stale++
-					}
-				}
-			case KindDDL:
-				// The original execution may itself have failed partway (the
-				// error went to the original caller); replay re-applies the
-				// same statements to the same database state and fails at the
-				// same point, so the error is dropped here exactly as the
-				// pre-crash engine kept running past it.
-				_ = db.ExecScript(r.Script)
-			case KindEpoch:
-				// Informational migration mark; nothing to rebuild (families
-				// re-form when the pending set is re-submitted).
-			}
-		}
-	} else if !errors.Is(err, os.ErrNotExist) {
+	f, err := d.fs.Open(d.walPath(d.epoch))
+	if errors.Is(err, os.ErrNotExist) {
+		return replay(st, bytes.NewReader(nil), db)
+	}
+	if err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
+	defer f.Close()
+	return replay(st, f, db)
+}
 
+// replay rebuilds what the checkpoint state st plus the durable prefix of
+// log describe; db already holds the checkpoint's snapshot.
+func replay(st CheckpointState, log io.Reader, db SnapshotDB) (*Recovered, error) {
+	rec := &Recovered{NextID: st.NextID, Counters: st.Counters}
+	pending := make(map[int64]PendingQuery, len(st.Pending))
+	for _, p := range st.Pending {
+		pending[p.ID] = p
+	}
+	rd := NewReader(log)
+	for {
+		r, err := rd.Next()
+		if err == io.EOF {
+			break
+		}
+		if errors.Is(err, ErrTorn) {
+			rec.Torn = true
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		rec.Replayed++
+		switch r.Kind {
+		case KindAdmit:
+			pending[r.Admit.ID] = PendingQuery{
+				ID: r.Admit.ID, Choose: r.Admit.Choose, Owner: r.Admit.Owner,
+				IR: r.Admit.IR, SubmittedUnixNano: r.Admit.SubmittedUnixNano,
+			}
+			rec.NextID = max(rec.NextID, r.Admit.ID)
+		case KindResults:
+			for _, qr := range r.Results {
+				if _, ok := pending[qr.ID]; !ok && !qr.Unlogged {
+					continue // duplicate delivery record; replay is idempotent
+				}
+				delete(pending, qr.ID)
+				rec.NextID = max(rec.NextID, qr.ID)
+				switch qr.Status {
+				case StatusAnswered:
+					rec.Counters.Answered++
+				case StatusUnsafe:
+					rec.Counters.Unsafe++
+				case StatusRejected:
+					rec.Counters.Rejected++
+				case StatusStale:
+					rec.Counters.Stale++
+				}
+			}
+		case KindDDL:
+			// The original execution may itself have failed partway (the
+			// error went to the original caller); replay re-applies the
+			// same statements to the same database state and fails at the
+			// same point, so the error is dropped here exactly as the
+			// pre-crash engine kept running past it.
+			_ = db.ExecScript(r.Script)
+		case KindEpoch:
+			// Informational migration mark; nothing to rebuild (families
+			// re-form when the pending set is re-submitted).
+		}
+	}
 	rec.Pending = make([]PendingQuery, 0, len(pending))
 	for _, p := range pending {
 		rec.Pending = append(rec.Pending, p)

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -72,29 +73,38 @@ type counters struct {
 }
 
 // log is one epoch's append-only record file. Appends are framed into a
-// buffered writer under the log mutex; durability is driven by the policy
-// (see Policy). A background flusher services the Off and Batch cadences;
-// Sync appends drive group commit inline.
+// buffered writer under the log mutex, except admits, which wait in the
+// deferred list for the next results record or commit (see the package
+// comment); durability is driven by the policy (see Policy). A background
+// flusher services the Off and Batch cadences; Sync appends drive group
+// commit inline.
 type log struct {
-	mu       sync.Mutex
-	cond     *sync.Cond // broadcast when a group commit completes
-	f        fault.File
-	bw       *bufio.Writer
-	policy   Policy
-	c        *counters
-	buf      []byte // reusable frame-encode buffer, guarded by mu
-	writeSeq int64  // bumped once per Append call
-	syncSeq  int64  // highest writeSeq known flushed (Off) / fsynced (Batch, Sync)
-	syncing  bool   // a group commit is in flight (mu released around fsync)
-	err      error  // sticky first write/sync error
-	closed   bool
-	stop     chan struct{} // closes the background flusher, nil for Sync
-	done     chan struct{}
+	mu     sync.Mutex
+	cond   *sync.Cond // broadcast when a group commit completes
+	f      fault.File
+	bw     *bufio.Writer
+	policy Policy
+	c      *counters
+	buf    []byte // reusable frame-encode buffer, guarded by mu
+	// deferred holds the admits appended since the last results record or
+	// commit, in append order; deferredAt indexes them by query ID. A
+	// dropped admit keeps its slot with Kind zeroed.
+	deferred   []Record
+	deferredAt map[int64]int
+	unlogged   []bool // per results entry: its admit was dropped; scratch
+	writeSeq   int64  // bumped once per Append call
+	syncSeq    int64  // highest writeSeq known flushed (Off) / fsynced (Batch, Sync)
+	syncing    bool   // a group commit is in flight (mu released around fsync)
+	err        error  // sticky first write/sync error
+	closed     bool
+	stop       chan struct{} // closes the background flusher, nil for Sync
+	done       chan struct{}
 }
 
 func newLog(f fault.File, policy Policy, interval time.Duration, c *counters) *log {
-	l := &log{f: f, bw: bufio.NewWriterSize(f, 1<<16), policy: policy, c: c}
+	l := &log{f: f, bw: bufio.NewWriterSize(f, 1<<16), policy: policy, c: c, deferredAt: make(map[int64]int)}
 	l.cond = sync.NewCond(&l.mu)
+	l.bw.WriteString(logHeader) // cannot fail: the buffer is empty
 	if policy != Sync {
 		l.stop = make(chan struct{})
 		l.done = make(chan struct{})
@@ -103,8 +113,9 @@ func newLog(f fault.File, policy Policy, interval time.Duration, c *counters) *l
 	return l
 }
 
-// append frames and writes recs. Under Sync it returns only once every
-// frame is fsynced; otherwise the background flusher picks them up.
+// append frames and writes recs, holding admits back. Under Sync it
+// returns only once every frame is fsynced; otherwise the background
+// flusher picks them up.
 func (l *log) append(recs ...Record) error {
 	l.mu.Lock()
 	if l.closed {
@@ -117,14 +128,15 @@ func (l *log) append(recs ...Record) error {
 		return err
 	}
 	for i := range recs {
-		l.buf = appendFrame(l.buf[:0], &recs[i])
-		if _, err := l.bw.Write(l.buf); err != nil {
-			l.err = err
+		if recs[i].Kind == KindAdmit {
+			l.deferredAt[recs[i].Admit.ID] = len(l.deferred)
+			l.deferred = append(l.deferred, recs[i])
+			continue
+		}
+		if err := l.frame(&recs[i]); err != nil {
 			l.mu.Unlock()
 			return err
 		}
-		l.c.records.Add(1)
-		l.c.bytes.Add(int64(len(l.buf)))
 	}
 	l.writeSeq++
 	seq := l.writeSeq
@@ -133,6 +145,60 @@ func (l *log) append(recs ...Record) error {
 		return nil
 	}
 	return l.commitLocked(seq) // releases l.mu
+}
+
+// frame writes one record into the buffer. A results record settles the
+// deferred admits first: the ones it names are dropped and their entries
+// flagged Unlogged, and every other one is framed ahead of it, so a durable
+// outcome never precedes the admission of a query that could have shaped
+// it (an unsafe verdict depends on pending queries it does not name).
+// Caller holds l.mu.
+func (l *log) frame(r *Record) error {
+	var unlogged []bool
+	if r.Kind == KindResults && len(l.deferred) > 0 {
+		unlogged = slices.Grow(l.unlogged[:0], len(r.Results))[:len(r.Results)]
+		for i := range r.Results {
+			j, ok := l.deferredAt[r.Results[i].ID]
+			if ok {
+				delete(l.deferredAt, r.Results[i].ID)
+				l.deferred[j].Kind = 0
+			}
+			unlogged[i] = ok
+		}
+		l.unlogged = unlogged
+		if err := l.frameDeferred(); err != nil {
+			return err
+		}
+	}
+	l.buf = appendFrame(l.buf[:0], r, unlogged)
+	if _, err := l.bw.Write(l.buf); err != nil {
+		l.err = err
+		return err
+	}
+	l.c.records.Add(1)
+	l.c.bytes.Add(int64(len(l.buf)))
+	return nil
+}
+
+// frameDeferred writes the surviving deferred admits ahead of a results
+// record or a commit. Caller holds l.mu.
+func (l *log) frameDeferred() error {
+	var err error
+	for i := range l.deferred {
+		r := &l.deferred[i]
+		if r.Kind == 0 {
+			continue
+		}
+		// Delete entry by entry: clear would walk every bucket the map
+		// ever grew, on every results record.
+		delete(l.deferredAt, r.Admit.ID)
+		if err == nil {
+			err = l.frame(r)
+		}
+	}
+	clear(l.deferred)
+	l.deferred = l.deferred[:0]
+	return err
 }
 
 // commitLocked drives group commit until seq is durable: the first caller
@@ -153,7 +219,10 @@ func (l *log) commitLocked(seq int64) error {
 		}
 		l.syncing = true
 		target := l.writeSeq
-		err := l.bw.Flush()
+		err := l.frameDeferred()
+		if err == nil {
+			err = l.bw.Flush()
+		}
 		l.mu.Unlock()
 		if err == nil {
 			err = l.f.Sync()
@@ -218,7 +287,9 @@ func (l *log) flushTick() {
 		return
 	}
 	// Off: flush to the OS only.
-	if err := l.bw.Flush(); err != nil {
+	if err := l.frameDeferred(); err != nil {
+		l.err = err
+	} else if err := l.bw.Flush(); err != nil {
 		l.err = err
 	} else {
 		l.syncSeq = l.writeSeq
@@ -236,7 +307,10 @@ func (l *log) close() error {
 	for l.syncing {
 		l.cond.Wait()
 	}
-	ferr := l.bw.Flush()
+	ferr := l.frameDeferred()
+	if ferr == nil {
+		ferr = l.bw.Flush()
+	}
 	l.closed = true
 	l.cond.Broadcast()
 	l.mu.Unlock()

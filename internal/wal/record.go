@@ -9,7 +9,9 @@
 // reproduce the pre-crash engine's observable state:
 //
 //   - Admit: a query entered the pending set with its engine-assigned ID
-//     (owner, CHOOSE multiplicity, IR text, submission time);
+//     (owner, CHOOSE multiplicity, the query in the engine's exact binary
+//     form, submission time). The package never interprets the query
+//     bytes;
 //   - Results: a batch of terminal outcomes (answered / unsafe / rejected /
 //     stale). One evaluation's deliveries for a whole component are framed
 //     as a SINGLE record, so a torn write can never persist half a
@@ -20,19 +22,46 @@
 //   - Epoch: a family-migration epoch mark (informational; lets offline
 //     tooling correlate the log with Stats' migration counter).
 //
+// # Deferred admits
+//
+// A log holds each admit record back until the next results record or
+// commit — the group commit of Batch, the flush of Off, every append of
+// Sync, an explicit sync, or close. A results record naming a held-back
+// query drops its admit, and that result entry carries the Unlogged flag:
+// the query resolved before its admission ever reached the log. Every
+// other held-back admit is framed just ahead of the results record, so a
+// durable outcome never precedes the admission of a query that could have
+// shaped it (an unsafe verdict depends on pending queries it does not
+// name). Recovery counts a flagged entry as terminal and raises the ID
+// high-water mark past it, so the ID is never reused. Under Sync every
+// append commits, so a log written through separate admit and results
+// appends — the engine's — drops nothing, and written serially it is
+// byte-identical to one written without deferral; under Batch and Off a
+// dropped admit sat in the same in-process buffer that a crash would have
+// lost anyway.
+//
+// Deferral moves an admit later than DDL and epoch records appended after
+// it. Recovery replays the whole durable prefix into a pending set before
+// re-submitting any of it, so that order does not matter.
+//
 // # Framing
 //
-// Every record is framed as
+// A log file opens with an 8-byte header, "D3CWAL" and a little-endian
+// uint16 format version (2). Every record after it is framed as
 //
 //	uint32 payload length | uint32 CRC-32 (Castagnoli) of payload | payload
 //
 // in little-endian byte order. The payload itself is a one-byte record kind
-// followed by uvarint/length-prefixed-string fields. A Reader consumes
-// records until the clean end of the log or the first frame that fails
-// validation (short header, implausible length, short payload, CRC
-// mismatch, malformed payload); the latter is reported as ErrTorn and marks
-// the durable prefix boundary — everything after a torn frame is
-// unrecoverable by construction and discarded at the next checkpoint.
+// followed by uvarint/length-prefixed-string fields; a result entry's
+// status byte carries the Unlogged flag in its high bit. A Reader checks
+// the header, then consumes records until the clean end of the log or the
+// first frame that fails validation (short header, implausible length,
+// short payload, CRC mismatch, malformed payload); the latter is reported
+// as ErrTorn and marks the durable prefix boundary — everything after a
+// torn frame is unrecoverable by construction and discarded at the next
+// checkpoint. A complete header with another version (or none: version 1
+// logs had no header) is ErrLogVersion; there is no reader for older
+// formats.
 package wal
 
 import (
@@ -42,6 +71,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 )
 
 // Kind discriminates log record payloads.
@@ -66,6 +96,9 @@ const (
 	StatusUnsafe   uint8 = 1
 	StatusRejected uint8 = 2
 	StatusStale    uint8 = 3
+
+	// statusUnlogged is the on-disk flag bit for QueryResult.Unlogged.
+	statusUnlogged uint8 = 0x80
 )
 
 // Admit is the payload of a KindAdmit record.
@@ -73,7 +106,7 @@ type Admit struct {
 	ID                int64
 	Choose            int
 	Owner             string
-	IR                string // q.String() of the ORIGINAL query (pre-rename)
+	IR                string // the ORIGINAL query (pre-rename), encoded by the engine; opaque here
 	SubmittedUnixNano int64
 }
 
@@ -83,6 +116,10 @@ type QueryResult struct {
 	Status uint8 // StatusAnswered .. StatusStale
 	Detail string
 	Tuples []string // formatted answer atoms; non-empty only for answers
+	// Unlogged marks a query whose admit record was dropped because the
+	// query resolved before the admit was framed (see the package
+	// comment). Set by the log when framing; callers leave it false.
+	Unlogged bool
 }
 
 // Record is one log entry. Exactly one of the kind-specific fields is
@@ -95,10 +132,11 @@ type Record struct {
 	Epoch   uint64        // KindEpoch
 }
 
-// AdmitRecord frames one admission.
-func AdmitRecord(id int64, choose int, owner, irText string, submittedUnixNano int64) Record {
+// AdmitRecord frames one admission. query is the caller's encoding of the
+// query, stored and returned verbatim.
+func AdmitRecord(id int64, choose int, owner, query string, submittedUnixNano int64) Record {
 	return Record{Kind: KindAdmit, Admit: Admit{
-		ID: id, Choose: choose, Owner: owner, IR: irText, SubmittedUnixNano: submittedUnixNano,
+		ID: id, Choose: choose, Owner: owner, IR: query, SubmittedUnixNano: submittedUnixNano,
 	}}
 }
 
@@ -116,9 +154,20 @@ func EpochRecord(epoch uint64) Record { return Record{Kind: KindEpoch, Epoch: ep
 // before it are intact; nothing after it is recoverable.
 var ErrTorn = errors.New("wal: torn or corrupt record")
 
-// maxRecordSize bounds a single frame's payload; a length prefix beyond it
-// is treated as corruption rather than attempted as an allocation.
-const maxRecordSize = 1 << 28 // 256 MiB
+// ErrLogVersion reports a log file written by another format version (or
+// by version 1, which had no header); test with errors.Is.
+var ErrLogVersion = errors.New("wal: unsupported log version")
+
+const (
+	// logHeader opens every log file: magic plus the uint16 format version.
+	logHeader = "D3CWAL\x02\x00"
+	// maxRecordSize bounds a single frame's payload; a length prefix beyond
+	// it is treated as corruption.
+	maxRecordSize = 1 << 28 // 256 MiB
+	// readChunk is the unit a Reader grows a payload buffer by, so a forged
+	// length costs a short read rather than an allocation of that size.
+	readChunk = 64 << 10
+)
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
@@ -133,8 +182,9 @@ func appendString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-// appendFrame encodes r as one framed record appended to b.
-func appendFrame(b []byte, r *Record) []byte {
+// appendFrame encodes r as one framed record appended to b. unlogged, when
+// non-nil, has one element per result entry and flags those it marks.
+func appendFrame(b []byte, r *Record, unlogged []bool) []byte {
 	start := len(b)
 	b = append(b, 0, 0, 0, 0, 0, 0, 0, 0) // frame header placeholder
 	b = append(b, byte(r.Kind))
@@ -150,7 +200,11 @@ func appendFrame(b []byte, r *Record) []byte {
 		for i := range r.Results {
 			qr := &r.Results[i]
 			b = appendUvarint(b, uint64(qr.ID))
-			b = append(b, qr.Status)
+			st := qr.Status
+			if qr.Unlogged || (unlogged != nil && unlogged[i]) {
+				st |= statusUnlogged
+			}
+			b = append(b, st)
 			b = appendString(b, qr.Detail)
 			b = appendUvarint(b, uint64(len(qr.Tuples)))
 			for _, t := range qr.Tuples {
@@ -237,7 +291,8 @@ func decodeRecord(payload []byte) (Record, error) {
 		for i := uint64(0); i < n && d.err == nil; i++ {
 			var qr QueryResult
 			qr.ID = int64(d.uvarint())
-			qr.Status = d.byte()
+			st := d.byte()
+			qr.Status, qr.Unlogged = st&^statusUnlogged, st&statusUnlogged != 0
 			qr.Detail = d.string()
 			nt := d.uvarint()
 			if d.err == nil && nt > uint64(len(payload)) {
@@ -265,23 +320,42 @@ func decodeRecord(payload []byte) (Record, error) {
 }
 
 // Reader iterates a log stream's records. Next returns io.EOF at a clean
-// end of log and an error wrapping ErrTorn at the first invalid frame;
-// Offset reports the byte length of the valid prefix consumed so far.
+// end of log (an empty stream included) and an error wrapping ErrTorn at
+// the first invalid frame or a short header; Offset reports the byte
+// length of the valid prefix consumed so far, header included.
 type Reader struct {
-	br  *bufio.Reader
-	off int64
+	br     *bufio.Reader
+	off    int64
+	opened bool   // the header has been read and checked
+	buf    []byte // payload scratch, reused across records
 }
 
-// NewReader wraps r for record iteration.
+// NewReader wraps a log file's contents for record iteration.
 func NewReader(r io.Reader) *Reader { return &Reader{br: bufio.NewReader(r)} }
 
 // Offset returns the number of bytes of intact records read so far — the
 // durable prefix boundary once Next has returned io.EOF or ErrTorn.
 func (rd *Reader) Offset() int64 { return rd.off }
 
-// Next returns the next record, io.EOF at the clean end of the stream, or
-// an error wrapping ErrTorn for a torn or corrupt tail.
+// Next returns the next record, io.EOF at the clean end of the stream, an
+// error wrapping ErrTorn for a torn or corrupt tail, or one wrapping
+// ErrLogVersion for a log in another format.
 func (rd *Reader) Next() (Record, error) {
+	if !rd.opened {
+		var hdr [len(logHeader)]byte
+		n, err := io.ReadFull(rd.br, hdr[:])
+		if n == 0 && err == io.EOF {
+			return Record{}, io.EOF
+		}
+		if err != nil {
+			return Record{}, fmt.Errorf("%w: short log header", ErrTorn)
+		}
+		if string(hdr[:]) != logHeader {
+			return Record{}, fmt.Errorf("%w: header %q (want %q)", ErrLogVersion, hdr[:], logHeader)
+		}
+		rd.opened = true
+		rd.off = int64(len(logHeader))
+	}
 	var hdr [8]byte
 	n, err := io.ReadFull(rd.br, hdr[:])
 	if n == 0 && (err == io.EOF || err == io.ErrUnexpectedEOF) {
@@ -295,8 +369,8 @@ func (rd *Reader) Next() (Record, error) {
 	if ln == 0 || ln > maxRecordSize {
 		return Record{}, fmt.Errorf("%w: implausible payload length %d", ErrTorn, ln)
 	}
-	payload := make([]byte, ln)
-	if _, err := io.ReadFull(rd.br, payload); err != nil {
+	payload, err := rd.readPayload(int(ln))
+	if err != nil {
 		return Record{}, fmt.Errorf("%w: short payload", ErrTorn)
 	}
 	if crc32.Checksum(payload, crcTable) != crc {
@@ -308,4 +382,21 @@ func (rd *Reader) Next() (Record, error) {
 	}
 	rd.off += int64(8 + ln)
 	return r, nil
+}
+
+// readPayload reads ln bytes into the reused scratch, growing it at most
+// readChunk beyond what has actually arrived.
+func (rd *Reader) readPayload(ln int) ([]byte, error) {
+	b := rd.buf[:0]
+	for len(b) < ln {
+		n := min(ln-len(b), readChunk)
+		b = slices.Grow(b, n)
+		k, err := io.ReadFull(rd.br, b[len(b):len(b)+n])
+		b = b[:len(b)+k]
+		if err != nil {
+			return nil, err
+		}
+	}
+	rd.buf = b
+	return b, nil
 }

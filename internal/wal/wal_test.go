@@ -61,13 +61,13 @@ func sampleRecords() []Record {
 	}
 }
 
-// frameAll encodes recs and returns the byte stream plus the offset of
-// each record's end (i.e. the valid truncation boundaries).
+// frameAll encodes recs as a log file and returns the byte stream plus the
+// offset of each record's end (i.e. the valid truncation boundaries).
 func frameAll(recs []Record) (stream []byte, bounds []int64) {
-	var b []byte
+	b := []byte(logHeader)
 	for _, r := range recs {
 		r := r
-		b = appendFrame(b, &r)
+		b = appendFrame(b, &r, nil)
 		bounds = append(bounds, int64(len(b)))
 	}
 	return b, bounds
@@ -101,7 +101,8 @@ func TestRecordRoundTrip(t *testing.T) {
 func TestReaderTruncation(t *testing.T) {
 	recs := sampleRecords()
 	stream, bounds := frameAll(recs)
-	isBoundary := map[int64]bool{0: true}
+	hdr := int64(len(logHeader))
+	isBoundary := map[int64]bool{0: true, hdr: true}
 	for _, b := range bounds {
 		isBoundary[b] = true
 	}
@@ -137,7 +138,7 @@ func TestReaderTruncation(t *testing.T) {
 			t.Fatalf("cut %d (mid-record): err = %v, want ErrTorn", cut, err)
 		}
 		if wantOff := int64(0); true {
-			for _, b := range bounds {
+			for _, b := range append([]int64{hdr}, bounds...) {
 				if b <= int64(cut) {
 					wantOff = b
 				}
@@ -152,15 +153,16 @@ func TestReaderTruncation(t *testing.T) {
 func TestReaderCorruption(t *testing.T) {
 	recs := sampleRecords()
 	stream, _ := frameAll(recs)
-	// Flip one payload byte of the first record (header is 8 bytes).
+	// Flip one payload byte of the first record (after the log header and
+	// the 8-byte frame header).
 	corrupt := append([]byte(nil), stream...)
-	corrupt[10] ^= 0xff
+	corrupt[len(logHeader)+10] ^= 0xff
 	rd := NewReader(bytes.NewReader(corrupt))
 	if _, err := rd.Next(); !errors.Is(err, ErrTorn) {
 		t.Fatalf("corrupted payload: err = %v, want ErrTorn", err)
 	}
-	if rd.Offset() != 0 {
-		t.Fatalf("corrupted first record: offset %d, want 0", rd.Offset())
+	if rd.Offset() != int64(len(logHeader)) {
+		t.Fatalf("corrupted first record: offset %d, want the header's %d", rd.Offset(), len(logHeader))
 	}
 }
 
@@ -198,7 +200,9 @@ func TestDirCheckpointRecover(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Post-checkpoint traffic: two admits, one result batch retiring one of
-	// them plus the checkpointed pending query, one DDL.
+	// them plus the checkpointed pending query, one DDL. All four land in
+	// one commit window, so admit 11 resolves before it is ever framed: its
+	// admit is dropped and its result entry flagged Unlogged.
 	appends := []Record{
 		AdmitRecord(11, 1, "kramer", "{R(K, y)} R(J, y) :- F(y, Rome)", 111),
 		AdmitRecord(12, 2, "newman", "{S(N, z)} S(E, z) :- F(z, Paris)", 112),
@@ -215,7 +219,7 @@ func TestDirCheckpointRecover(t *testing.T) {
 		t.Fatal(err)
 	}
 	stats := d.Stats()
-	if stats.Records != int64(len(appends)) || stats.Checkpoints != 1 {
+	if stats.Records != int64(len(appends)-1) || stats.Checkpoints != 1 {
 		t.Fatalf("stats = %+v", stats)
 	}
 	if err := d.Close(); err != nil {
@@ -243,8 +247,8 @@ func TestDirCheckpointRecover(t *testing.T) {
 	if rec.Torn {
 		t.Fatal("clean log reported torn")
 	}
-	if rec.Replayed != len(appends) {
-		t.Fatalf("Replayed = %d, want %d", rec.Replayed, len(appends))
+	if rec.Replayed != len(appends)-1 {
+		t.Fatalf("Replayed = %d, want %d", rec.Replayed, len(appends)-1)
 	}
 	want := Counters{Answered: 5, Unsafe: 1, Rejected: 1, Stale: 3}
 	if rec.Counters != want {
