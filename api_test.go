@@ -424,74 +424,3 @@ func mustParseWithID(id QueryID, text string) *Query {
 	q.ID = id
 	return q
 }
-
-// TestSubmitBulkPublicAPI drives the root SubmitBulk surface: an unordered
-// bulk load answers its closed pairs before returning, matches the
-// SubmitBatch+Flush outcome on a set-at-a-time System, and honors the
-// WithBulkDeferFlush option; context gating and ErrClosed behave as the
-// other submission paths.
-func TestSubmitBulkPublicAPI(t *testing.T) {
-	ctx := context.Background()
-	qs := func() []*Query {
-		return []*Query{
-			MustParseIR("{R(Jerry, x)} R(Kramer, x) :- F(x, Paris)"),
-			MustParseIR("{R(Kramer, y)} R(Jerry, y) :- F(y, Paris)"),
-			MustParseIR("{Lone(A, z)} Lone(B, z) :- F(z, Oslo)"),
-		}
-	}
-
-	sys := flightsSystem(t, WithShards(4))
-	handles, err := sys.SubmitBulk(ctx, qs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(handles) != 3 {
-		t.Fatalf("%d handles", len(handles))
-	}
-	for i := 0; i < 2; i++ {
-		r, err := handles[i].Wait(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.Status != StatusAnswered {
-			t.Fatalf("bulk member %d: %v (%s)", i, r.Status, r.Detail)
-		}
-	}
-	wctx, wcancel := context.WithTimeout(ctx, 20*time.Millisecond)
-	defer wcancel()
-	if _, err := handles[2].Wait(wctx); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("partnerless bulk member resolved early: %v", err)
-	}
-	if st := sys.Stats(); st.BulkLoads != 1 || st.RouterPasses != 1 {
-		t.Fatalf("stats %+v", st)
-	}
-
-	// Deferred: nothing coordinates until Flush.
-	def := flightsSystem(t, WithMode(SetAtATime), WithShards(2))
-	dh, err := def.SubmitBulk(ctx, qs()[:2], WithBulkDeferFlush())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := def.Stats(); st.Pending != 2 || st.BulkFlushes != 0 {
-		t.Fatalf("deferred bulk stats %+v", st)
-	}
-	def.Flush()
-	for i, h := range dh {
-		r, err := h.Wait(ctx)
-		if err != nil || r.Status != StatusAnswered {
-			t.Fatalf("deferred member %d: %v %v", i, r.Status, err)
-		}
-	}
-
-	// Context and lifecycle gates.
-	cctx, ccancel := context.WithCancel(ctx)
-	ccancel()
-	if _, err := sys.SubmitBulk(cctx, qs()); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled-context bulk: %v", err)
-	}
-	closed := flightsSystem(t)
-	closed.Close()
-	if _, err := closed.SubmitBulk(ctx, qs()); !errors.Is(err, ErrClosed) {
-		t.Fatalf("closed-system bulk: %v", err)
-	}
-}

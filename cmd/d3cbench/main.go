@@ -20,10 +20,9 @@
 // component allocation budget), one row races concurrent submitters against
 // backlog-triggered coordination rounds (per-submission budget), with
 // answered counts cross-checked between the two.
-// -experiment batching compares the three submission modes — single
-// Submit, SubmitBatch, and the unordered SubmitBulk load path — timing the
-// submission phase only (median of 5 reps), with identical answered counts
-// enforced.
+// -experiment batching compares the two submission modes — single Submit
+// and SubmitBatch — timing the submission phase only (median of 5 reps),
+// with identical answered counts enforced.
 // -experiment durability measures the write-ahead log's overhead on the
 // closing arrival path across fsync policies (no WAL at all, Off, Batch,
 // Sync); the no-WAL and Off rows carry pinned alloc budgets, the Batch and
@@ -175,7 +174,7 @@ func main() {
 			return err
 		}
 		emit(
-			fmt.Sprintf("Batching — single Submit vs SubmitBatch B=%d vs SubmitBulk B=%d (%d shards); labels carry [router passes/submit locks]", *batch, *batch, *shards), rows)
+			fmt.Sprintf("Batching — single Submit vs SubmitBatch B=%d (%d shards); labels carry [router passes/submit locks]", *batch, *shards), rows)
 		return nil
 	})
 

@@ -6,12 +6,11 @@
 //
 // Commands:
 //
+//	.load s1; s2; …    run a DDL/DML script on the server's database
 //	.batch q1; q2; …   submit several IR queries as one engine batch
 //	.subscribe q1; q2; …  submit a query set as one subscription: all results
 //	                   stream back on one multiplexed channel, surviving
 //	                   reconnects with exactly one outcome per query
-//	.prepare q         prepare an IR template ('$1'..'$K' placeholders)
-//	.exec N v1; v2; …  execute prepared statement N with bindings
 //	.flush             force a set-at-a-time round
 //	.checkpoint        durably checkpoint the server's engine (durable servers)
 //	.stats             print engine counters (plus WAL counters on durable servers)
@@ -148,53 +147,6 @@ func main() {
 		}()
 	}
 
-	stmts := make(map[int]*server.ClientStmt)
-	nextStmt := 0
-	prepare := func(text string) {
-		var st *server.ClientStmt
-		var err error
-		if strings.HasPrefix(strings.ToUpper(text), "SELECT") {
-			st, err = c.PrepareSQL(text)
-		} else {
-			st, err = c.PrepareIR(text)
-		}
-		if err != nil {
-			fmt.Printf("error: %s\n", describe(err))
-			return
-		}
-		nextStmt++
-		stmts[nextStmt] = st
-		fmt.Printf("prepared s%d (%d bindings)\n", nextStmt, st.NumParams())
-	}
-	exec := func(text string) {
-		fields := strings.SplitN(strings.TrimSpace(text), " ", 2)
-		var id int
-		if _, err := fmt.Sscanf(fields[0], "%d", &id); err != nil {
-			fmt.Println("usage: .exec N v1; v2; …")
-			return
-		}
-		st, ok := stmts[id]
-		if !ok {
-			fmt.Printf("error: no prepared statement s%d\n", id)
-			return
-		}
-		var bindings []string
-		if len(fields) == 2 {
-			for _, part := range strings.Split(fields[1], ";") {
-				if part = strings.TrimSpace(part); part != "" {
-					bindings = append(bindings, part)
-				}
-			}
-		}
-		qid, ch, err := st.Execute(bindings...)
-		if err != nil {
-			fmt.Printf("error: %s\n", describe(err))
-			return
-		}
-		fmt.Printf("submitted q%d\n", qid)
-		go func() { results <- <-ch }()
-	}
-
 	// Printer goroutine: results arrive asynchronously.
 	go func() {
 		for r := range results {
@@ -221,11 +173,7 @@ func main() {
 		case line == ".help":
 			fmt.Println("IR query:  {R(Jerry, x)} R(Kramer, x) :- Flights(x, Paris)")
 			fmt.Println("SQL query: SELECT 'Kramer', fno INTO ANSWER R WHERE … CHOOSE 1 (multiline; ends at CHOOSE or blank line)")
-			fmt.Println("commands:  .load <ddl/dml statements;…>  .batch <ir; ir; …>  .subscribe <ir; ir; …>  .prepare <template>  .exec <N> <v1; v2; …>  .flush  .checkpoint  .stats  .faults  .quit")
-		case strings.HasPrefix(line, ".prepare "):
-			prepare(strings.TrimPrefix(line, ".prepare "))
-		case strings.HasPrefix(line, ".exec "):
-			exec(strings.TrimPrefix(line, ".exec "))
+			fmt.Println("commands:  .load <ddl/dml statements;…>  .batch <ir; ir; …>  .subscribe <ir; ir; …>  .flush  .checkpoint  .stats  .faults  .quit")
 		case strings.HasPrefix(line, ".subscribe "):
 			subscribe(strings.TrimPrefix(line, ".subscribe "))
 		case strings.HasPrefix(line, ".batch "):
@@ -275,9 +223,9 @@ func main() {
 				fmt.Printf("error: %s\n", describe(err))
 			} else if st.Stats != nil {
 				s := st.Stats
-				fmt.Printf("submitted=%d answered=%d rejected=%d unsafe=%d stale=%d pending=%d flushes=%d router-passes=%d submit-locks=%d bulk-loads=%d bulk-flushes=%d families-retired=%d plan-hits=%d plan-misses=%d plan-evictions=%d\n",
+				fmt.Printf("submitted=%d answered=%d rejected=%d unsafe=%d stale=%d pending=%d flushes=%d router-passes=%d submit-locks=%d families-retired=%d plan-hits=%d plan-misses=%d plan-evictions=%d\n",
 					s.Submitted, s.Answered, s.Rejected, s.RejectedUnsafe, s.ExpiredStale, s.Pending, s.Flushes,
-					s.RouterPasses, s.SubmitLocks, s.BulkLoads, s.BulkFlushes, s.FamiliesRetired,
+					s.RouterPasses, s.SubmitLocks, s.FamiliesRetired,
 					s.PlanHits, s.PlanMisses, s.PlanEvictions)
 				fmt.Printf("  eval: workers=%d queue-depth=%d retries=%d\n",
 					s.EvalWorkers, s.EvalQueueDepth, s.EvalRetries)

@@ -45,6 +45,7 @@ import (
 	"entangle"
 	"entangle/internal/fault"
 	"entangle/internal/server"
+	"entangle/internal/wal"
 	"entangle/internal/workload"
 )
 
@@ -94,16 +95,9 @@ func main() {
 		opts = append(opts, entangle.WithMaxPending(*maxPending))
 	}
 	if *dataDir != "" {
-		var pol entangle.Durability
-		switch strings.ToLower(*durability) {
-		case "off":
-			pol = entangle.DurabilityOff
-		case "batch":
-			pol = entangle.DurabilityBatch
-		case "sync":
-			pol = entangle.DurabilitySync
-		default:
-			log.Fatalf("d3cd: unknown durability policy %q", *durability)
+		pol, err := wal.ParsePolicy(*durability)
+		if err != nil {
+			log.Fatalf("d3cd: %v", err)
 		}
 		opts = append(opts,
 			entangle.WithDataDir(*dataDir),

@@ -29,20 +29,15 @@
 // one Result, and Wait respects context cancellation without losing the
 // result for a later Wait. Batches go through SubmitBatch, which admits a
 // whole batch with one routing pass and one lock acquisition per engine
-// shard while staying equivalent to one-at-a-time submission; bulk loads go
-// through SubmitBulk, which additionally drops the intra-batch ordering
-// guarantee to ingest and coordinate each batch set-at-a-time — the cheaper
-// path whenever the batch is a set, not a sequence (see "Bulk loading" in
-// README.md). Repeated query shapes go through prepared statements:
-// Prepare/PrepareSQL/PrepareIR compile-check a template whose constants may
-// be '$1'…'$K' placeholders, and Stmt.Submit(ctx, bindings...) submits one
-// instance per binding set — every instance shares one cached evaluation
-// plan (see "Prepared statements" in README.md). Callers coordinating many
-// queries at once can replace one-Handle-per-query with Subscribe, which
-// admits a batch and streams every terminal result over one channel that
-// closes after the last — exactly one result per query, with outcomes
-// identical to individual handles (see "Streaming subscriptions" in
-// README.md).
+// shard while staying equivalent to one-at-a-time submission. Repeated
+// query shapes are cheap without any extra call: SQL statements differing
+// only in their string literals share one cached translation, and every
+// instance shares one cached evaluation plan (see "Prepared statements" in
+// README.md). Callers coordinating many queries at once can replace
+// one-Handle-per-query with Subscribe, which admits a batch and streams
+// every terminal result over one channel that closes after the last —
+// exactly one result per query, with outcomes identical to individual
+// handles (see "Streaming subscriptions" in README.md).
 //
 // WithDataDir makes the system durable: admissions, results, expiries and
 // DDL are written ahead to a CRC-framed log (fsync policy per
@@ -83,7 +78,7 @@
 //     that potential coordination partners always meet on the same shard
 //     (see the engine package comment for the routing invariant);
 //   - internal/server — a TCP/JSON front end for many concurrent clients,
-//     with single, batched, prepared and subscription (one multiplexed
+//     with single, batched and subscription (one multiplexed
 //     result stream per query set, replayable across reconnects by
 //     idempotency token) ops, per-connection overload caps, idempotent
 //     re-submission tokens, and a self-healing client (reconnect with

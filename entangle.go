@@ -315,54 +315,6 @@ func (s *System) SubmitBatch(ctx context.Context, qs []*ir.Query) ([]*Handle, er
 	return handles, nil
 }
 
-// BulkOption configures one SubmitBulk call.
-type BulkOption func(*engine.BulkOptions)
-
-// WithBulkDeferFlush makes SubmitBulk ingest without running its per-shard
-// coordination round: closed components stay pending until the next Flush
-// (explicit, FlushEvery-triggered, or Run's tick in set-at-a-time mode —
-// incremental-mode systems must call Flush themselves after a deferred
-// bulk). Use it to stage several bulk loads and coordinate them as one
-// round.
-func WithBulkDeferFlush() BulkOption {
-	return func(o *engine.BulkOptions) { o.DeferFlush = true }
-}
-
-// SubmitBulk enqueues many queries at once as an explicitly UNORDERED bulk
-// load — set-at-a-time semantics per batch, the paper's native granularity.
-// Unlike SubmitBatch, which pays per-query incremental admission to stay
-// equivalent to one-at-a-time submission, SubmitBulk treats the batch as a
-// set: one routing pass resolves it, each touched engine shard ingests its
-// group under one lock with atoms indexed and unifiability edges built
-// set-at-a-time, the admission safety check runs once over the ingested
-// set, and one flush per touched shard coordinates the resulting closed
-// components. For a batch with no interleaved singles the answered set and
-// per-query results equal SubmitBatch on a set-at-a-time System followed by
-// Flush; the difference — and the caveat to mind on incremental Systems —
-// is that components closing mid-batch are coordinated whole at the end
-// rather than at the closing arrival, so later batch members can still
-// join them. Queries left open keep their staleness deadline, measured
-// from the SubmitBulk call. Handles are returned in input order; returns
-// ErrClosed after Close.
-func (s *System) SubmitBulk(ctx context.Context, qs []*ir.Query, opts ...BulkOption) ([]*Handle, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	var bo engine.BulkOptions
-	for _, o := range opts {
-		o(&bo)
-	}
-	ehs, err := s.eng.SubmitBulk(qs, bo)
-	if err != nil {
-		return nil, wrapSubmitErr(err)
-	}
-	handles := make([]*Handle, len(ehs))
-	for i, eh := range ehs {
-		handles[i] = newHandle(eh)
-	}
-	return handles, nil
-}
-
 // Flush forces a set-at-a-time evaluation round.
 func (s *System) Flush() { s.eng.Flush() }
 

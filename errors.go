@@ -25,8 +25,8 @@ var (
 	// global unifier, or the combined query returned no rows).
 	ErrRejected = errors.New("entangle: query cannot be answered")
 
-	// ErrOverloaded is returned by Submit/SubmitSQL/SubmitIR/SubmitBatch/
-	// SubmitBulk when the WithMaxPending cap would be exceeded: the
+	// ErrOverloaded is returned by Submit/SubmitSQL/SubmitIR/SubmitBatch
+	// when the WithMaxPending cap would be exceeded: the
 	// submission was shed before any durability or coordination work. It is
 	// the engine's sentinel verbatim, so errors.Is matches the same failure
 	// whether it surfaces here, through the server's reply code, or from a

@@ -3,15 +3,12 @@
 //
 // A synthetic social graph of 2,000 users is loaded into the database
 // (Friends and User tables). Pairs of friends then submit the paper's
-// two-way coordination queries as one SubmitBulk call — the unordered
-// bulk-load path a booking front end draining a request queue would use:
-// the whole wave is routed in one pass, each engine shard ingests its
-// share set-at-a-time under one lock (atoms indexed, unifiability edges
-// built, the safety check run once over the set), and a single flush per
-// shard coordinates every pair that closed. A queue of buffered requests
-// has no meaningful arrival order, which is exactly the contract SubmitBulk
-// relaxes to skip per-query admission work. Pairs that share a hometown
-// coordinate; the rest eventually go stale via the background Run loop.
+// two-way coordination queries as one SubmitBatch call — the path a booking
+// front end draining a request queue would use: the whole wave is routed in
+// one pass and each engine shard admits its share under one lock, with
+// outcomes identical to submitting the queries one at a time. Pairs that
+// share a hometown coordinate; the rest eventually go stale via the
+// background Run loop.
 //
 // Run: go run ./examples/travel
 package main
@@ -53,9 +50,9 @@ func main() {
 	gen := workload.NewGen(g, 7)
 	pairs := g.FriendPairs(200, 7)
 	queries := gen.Interleave(gen.TwoWayRandom(pairs))
-	fmt.Printf("bulk-loading %d entangled queries from %d friend pairs (unordered, set-at-a-time)…\n", len(queries), len(pairs))
+	fmt.Printf("submitting %d entangled queries from %d friend pairs as one batch…\n", len(queries), len(pairs))
 
-	handles, err := sys.SubmitBulk(ctx, queries)
+	handles, err := sys.SubmitBatch(ctx, queries)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -94,8 +91,8 @@ func main() {
 		fmt.Printf("  %-9s %d\n", s, counts[s])
 	}
 	st := sys.Stats()
-	fmt.Printf("engine: %d submissions, %d combined-query evaluations, %d router passes, %d submit locks, %d bulk loads / %d bulk flushes\n",
-		st.Submitted, st.Evaluations, st.RouterPasses, st.SubmitLocks, st.BulkLoads, st.BulkFlushes)
+	fmt.Printf("engine: %d submissions, %d combined-query evaluations, %d router passes, %d submit locks\n",
+		st.Submitted, st.Evaluations, st.RouterPasses, st.SubmitLocks)
 	fmt.Println("\npairs sharing a hometown coordinated; pairs in different cities matched but found no")
 	fmt.Println("satisfying data (rejected); queries whose partner collided with another pending pair")
 	fmt.Println("were rejected by the safety check or timed out as stale.")

@@ -26,9 +26,8 @@ import (
 //     wave primes the shared compiled-plan cache first, so the timed wave
 //     serves every component from the cache — zero CompilePlan calls,
 //     enforced via the engine's PlanMisses staying flat. This is the
-//     steady state of a service whose query shapes repeat (the prepared-
-//     statement path), and the row's budget pins the cache-hit closing
-//     cost below the cold closing cost.
+//     steady state of a service whose query shapes repeat, and the row's
+//     budget pins the cache-hit closing cost below the cold closing cost.
 //
 // Both regimes run at the requested shard count AND single-shard (when they
 // differ): the single-shard rows are the per-core reference point the

@@ -17,25 +17,20 @@ type submitMode int
 const (
 	submitSingle submitMode = iota // one Submit call per query
 	submitBatch                    // SubmitBatch in chunks of batchSize
-	submitBulk                     // SubmitBulk (deferred flush) in chunks of batchSize
 )
 
 // BatchingComparison measures the submission-path amortisation of the
-// engine's three submission modes on identical social workloads (per-group
-// ANSWER relations, the spreadable shape): one-at-a-time Submit,
-// Engine.SubmitBatch (order-preserving batches), and Engine.SubmitBulk (the
-// unordered bulk-load path, which skips per-query incremental admission
-// entirely: atoms indexed and edges built set-at-a-time, one safety sweep
-// per chunk). The engine runs set-at-a-time and only the submission phase
-// is timed — evaluation cost is identical for the three paths and would
-// otherwise drown the per-arrival overhead being measured; bulk chunks
-// therefore defer their flush, so all three runs coordinate in one final
-// flush outside the timer, whose answered counts must agree (batch is an
-// amortisation and bulk a set-at-a-time reordering of the same admission
-// decisions, not a semantics change). Row labels carry the routing work
-// actually done: N router passes and N submit-lock acquisitions for singles
-// versus ⌈N/B⌉ passes and ≤ ⌈N/B⌉ × min(B, shards) locks for batches and
-// bulks.
+// engine's two submission modes on identical social workloads (per-group
+// ANSWER relations, the spreadable shape): one-at-a-time Submit and
+// Engine.SubmitBatch (order-preserving batches). The engine runs
+// set-at-a-time and only the submission phase is timed — evaluation cost is
+// identical for both paths and would otherwise drown the per-arrival
+// overhead being measured — so both runs coordinate in one final flush
+// outside the timer, whose answered counts must agree (batch is an
+// amortisation of the same admission decisions, not a semantics change).
+// Row labels carry the routing work actually done: N router passes and N
+// submit-lock acquisitions for singles versus ⌈N/B⌉ passes and
+// ≤ ⌈N/B⌉ × min(B, shards) locks for batches.
 func (e *Env) BatchingComparison(sizes []int, batchSize, shards int) ([]Row, error) {
 	if batchSize < 2 {
 		return nil, fmt.Errorf("bench: batching comparison needs batch size ≥ 2, got %d", batchSize)
@@ -59,16 +54,9 @@ func (e *Env) BatchingComparison(sizes []int, batchSize, shards int) ([]Row, err
 			return nil, err
 		}
 		rows = append(rows, batched)
-		bulk, err := e.runSubmitMode(fmt.Sprintf("bulk B=%d (%d shards)", batchSize, shards), qs, shards, batchSize, submitBulk)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, bulk)
-		for _, r := range []Row{batched, bulk} {
-			if r.Answered != single.Answered {
-				return nil, fmt.Errorf("bench: %q answered %d, single-submit answered %d on identical workloads",
-					r.Label, r.Answered, single.Answered)
-			}
+		if batched.Answered != single.Answered {
+			return nil, fmt.Errorf("bench: %q answered %d, single-submit answered %d on identical workloads",
+				batched.Label, batched.Answered, single.Answered)
 		}
 	}
 	return rows, nil
@@ -110,16 +98,7 @@ func (e *Env) runSubmitMode(label string, qs []*ir.Query, shards, batchSize int,
 				if end > len(qs) {
 					end = len(qs)
 				}
-				var err error
-				if mode == submitBulk {
-					// Deferred flush: the timer measures pure set-at-a-time
-					// ingest, symmetric with the other modes whose
-					// evaluation also happens in the drain flush below.
-					_, err = eng.SubmitBulk(qs[i:end], engine.BulkOptions{DeferFlush: true})
-				} else {
-					_, err = eng.SubmitBatch(qs[i:end])
-				}
-				if err != nil {
+				if _, err := eng.SubmitBatch(qs[i:end]); err != nil {
 					eng.Close()
 					return Row{}, err
 				}

@@ -169,21 +169,16 @@ func TestBatchingComparison(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 3 {
+	if len(rows) != 2 {
 		t.Fatalf("rows = %v", rows)
 	}
 	// BatchingComparison itself errors if the answered counts diverge
-	// (single vs batched vs bulk — the identical-answered enforcement).
+	// (single vs batched — the identical-answered enforcement).
 	if rows[0].Answered == 0 {
 		t.Fatalf("single-submit row never coordinated: %v", rows[0])
 	}
-	for _, r := range rows[1:] {
-		if r.Pending != rows[0].Pending {
-			t.Fatalf("pending differ: %v vs %v", rows[0], r)
-		}
-	}
-	if !strings.Contains(rows[2].Label, "bulk") {
-		t.Fatalf("third row is not the bulk arm: %v", rows[2])
+	if rows[1].Pending != rows[0].Pending {
+		t.Fatalf("pending differ: %v vs %v", rows[0], rows[1])
 	}
 }
 

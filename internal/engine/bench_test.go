@@ -177,29 +177,6 @@ func BenchmarkSubmitSocialBatch64(b *testing.B) {
 	}
 }
 
-// BenchmarkSubmitSocialBulk64 drives the same social workload through the
-// unordered bulk-load path in chunks of 64: set-at-a-time ingest with one
-// edge-derived safety sweep per chunk, no per-query incremental admission.
-// Compare per-op time against BenchmarkSubmitSocialBatch64.
-func BenchmarkSubmitSocialBulk64(b *testing.B) {
-	socialEnv(b)
-	qs := socialPairQueries(b.N)
-	e := New(socialDB, Config{Mode: Incremental, Shards: 8})
-	defer e.Close()
-	b.ReportAllocs()
-	b.ResetTimer()
-	const batch = 64
-	for i := 0; i < len(qs); i += batch {
-		end := i + batch
-		if end > len(qs) {
-			end = len(qs)
-		}
-		if _, err := e.SubmitBulk(qs[i:end], BulkOptions{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkArrivalNonClosing measures the incremental engine's per-arrival
 // cost when the arrival does NOT close its component — the dominant case for
 // a coordination service, where most queries wait for partners. Only the

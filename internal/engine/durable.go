@@ -27,12 +27,13 @@ var ErrNotDurable = errors.New("engine: not opened with a data directory")
 
 // Open creates an engine like New and, when cfg.DataDir is set, attaches
 // the durability subsystem: it recovers the database and pending set from
-// the directory's checkpoint + WAL, re-submits the recovered pending
-// queries through the normal bulk-admission path (graph, component index
-// and router families are rebuilt by construction — there is no parallel
-// rehydration code), takes a fresh checkpoint (which also truncates any
-// torn log tail by rotating the epoch), and finally runs one coordination
-// round over components the recovered set already closes. Every transition
+// the directory's checkpoint + WAL, re-admits the recovered pending
+// queries through the safety check and the path migrated queries take
+// (graph, component index and router families are rebuilt by construction
+// — there is no parallel rehydration code), takes a fresh checkpoint
+// (which also truncates any torn log tail by rotating the epoch), and
+// finally runs one coordination round over components the recovered set
+// already closes. Every transition
 // from then on is logged write-ahead, so a recovered engine is
 // observationally equivalent to one that never crashed:
 //
@@ -112,16 +113,20 @@ func encodeQuery(q *ir.Query) string {
 	return string(ir.AppendBinary(buf[:0], q))
 }
 
-// restorePending re-ingests checkpointed pending queries through the bulk
-// path with their ORIGINAL engine-assigned IDs and submission times.
+// restorePending re-homes checkpointed pending queries with their ORIGINAL
+// engine-assigned IDs and submission times through shard.adopt, the path a
+// migrated query takes, after the same safety check a fresh submission
+// passes. Queries are checked in ascending ID order per family, so a
+// recovered set reproduces the verdicts of the original admissions. No
+// coordination round runs here: Open flushes once after the WAL is
+// attached, so re-coordinated deliveries are logged like any others.
 func (e *Engine) restorePending(pending []wal.PendingQuery) error {
 	if len(pending) == 0 {
 		return nil
 	}
-	n := len(pending)
-	items := make([]bulkItem, n)
-	relss := make([][]string, n)
-	handles := make([]*Handle, n)
+	items := make([]*pendingQuery, len(pending))
+	relss := make([][]string, len(pending))
+	handles := make([]*Handle, len(pending))
 	for i, p := range pending {
 		q, err := ir.DecodeBinary(p.IR)
 		if err != nil {
@@ -131,24 +136,27 @@ func (e *Engine) restorePending(pending []wal.PendingQuery) error {
 			return fmt.Errorf("engine: recover pending query %d: %w", p.ID, err)
 		}
 		id := ir.QueryID(p.ID)
-		h := &Handle{ID: id, ch: make(chan Result, 1)}
+		handles[i] = &Handle{ID: id, ch: make(chan Result, 1)}
 		relss[i] = coordRels(q)
-		items[i] = bulkItem{
-			renamed: q.RenamedCopy(id), rels: relss[i], handle: h,
-			at: time.Unix(0, p.SubmittedUnixNano), src: p.IR,
+		items[i] = &pendingQuery{
+			renamed: q.RenamedCopy(id), rels: relss[i], handle: handles[i],
+			submitted: time.Unix(0, p.SubmittedUnixNano), src: p.IR,
 		}
-		handles[i] = h
 	}
-	var group []bulkItem
 	err := e.submitGrouped(relss, func(s *shard, idxs []int) error {
-		group = group[:0]
 		for _, i := range idxs {
-			group = append(group, items[i])
+			p := items[i]
+			s.record(EventSubmitted, p.renamed.ID, p.renamed.Owner)
+			if err := s.checker.Check(p.renamed); err != nil {
+				s.stats.Submitted++
+				s.rejectUnsafe(p.renamed.ID, err, p.handle)
+				continue
+			}
+			s.adopt(p)
+			e.pendingGauge.Add(1)
+			e.router.addPending(p.rels[0], 1)
 		}
-		// Deferred ingest: no coordination round here — Open flushes once
-		// after the WAL is attached, so re-coordinated deliveries are
-		// logged like any others.
-		return s.bulkLoad(group)
+		return nil
 	})
 	if err != nil {
 		return err

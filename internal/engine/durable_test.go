@@ -339,8 +339,8 @@ func TestCrashRecoveryKillPoints(t *testing.T) {
 				}
 			}
 			qs := crashWorkload(t, e)
-			// Exercise all three admission paths: singles, one batch, one
-			// bulk (each appends its admit records ahead of admission).
+			// Exercise both admission paths: singles and two batches (each
+			// appends its admit records ahead of admission).
 			var handles []*Handle
 			for _, q := range qs[:len(qs)-4] {
 				h, err := e.Submit(q)
@@ -354,7 +354,7 @@ func TestCrashRecoveryKillPoints(t *testing.T) {
 				t.Fatal(err)
 			}
 			handles = append(handles, bh...)
-			bk, err := e.SubmitBulk(qs[len(qs)-2:], BulkOptions{})
+			bk, err := e.SubmitBatch(qs[len(qs)-2:])
 			if err != nil {
 				t.Fatal(err)
 			}

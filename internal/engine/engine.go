@@ -59,7 +59,7 @@
 // evaluating under the lock. Submissions to a shard therefore proceed while
 // that shard's components are being evaluated, and the pool is fed by every
 // shard, so concurrent flushes pipeline across the engine. The one
-// exception is the batch/bulk ingest path, which evaluates synchronously
+// exception is the batch ingest path, which evaluates synchronously
 // under the held lock: batch ≡ sequential equivalence requires each closing
 // component to retire before the next batch member's admission is decided.
 package engine
@@ -247,7 +247,7 @@ type Config struct {
 	// filesystem. Meaningful only with DataDir set.
 	WALFS fault.FS
 	// MaxPending caps the engine-wide pending-query count: a Submit /
-	// SubmitBatch / SubmitBulk that would push the gauge past the cap is
+	// SubmitBatch that would push the gauge past the cap is
 	// shed with ErrOverloaded before any WAL append or shard work. The cap
 	// is approximate under concurrency (the gauge is read without holding
 	// shard locks), which is exactly what load shedding wants: cheap on the
@@ -286,13 +286,6 @@ type Stats struct {
 	// router pass and ≤ min(N, Shards) submit locks instead of N of each.
 	RouterPasses int
 	SubmitLocks  int
-	// BulkLoads counts SubmitBulk calls; BulkFlushes counts the per-shard
-	// coordination rounds those calls ran after ingest (at most one per
-	// touched shard per call; zero for deferred bulks, whose rounds happen
-	// at the next Flush). Engine-level like RouterPasses: zero in PerShard,
-	// excluded from aggregation.
-	BulkLoads   int
-	BulkFlushes int
 	// FamiliesRetired counts relation families reclaimed by GC sweeps.
 	FamiliesRetired int
 	// PlanHits / PlanMisses / PlanEvictions are the compiled-plan cache's
@@ -359,7 +352,7 @@ func (s *Stats) add(s2 Stats) {
 // ErrClosed is returned by operations on a closed engine.
 var ErrClosed = errors.New("engine: closed")
 
-// ErrOverloaded is returned by Submit/SubmitBatch/SubmitBulk when the
+// ErrOverloaded is returned by Submit/SubmitBatch when the
 // MaxPending cap would be exceeded; test with errors.Is. Shedding happens
 // before the WAL append and before any shard work, so an overloaded engine
 // stays cheap to say no to.
@@ -406,8 +399,6 @@ type Engine struct {
 	// Submission-path amortisation counters (see Stats.RouterPasses).
 	routerPasses    atomic.Int64
 	submitLocks     atomic.Int64
-	bulkLoads       atomic.Int64
-	bulkFlushes     atomic.Int64
 	familiesRetired atomic.Int64
 	// pendingGauge tracks the engine-wide pending-query count (Σ over
 	// shards of len(s.pending)) for the MaxPending admission check, updated
@@ -537,8 +528,6 @@ func (e *Engine) Stats() Stats {
 		agg.Flushes = int(e.flushRounds.Load())
 		agg.RouterPasses = int(e.routerPasses.Load())
 		agg.SubmitLocks = int(e.submitLocks.Load())
-		agg.BulkLoads = int(e.bulkLoads.Load())
-		agg.BulkFlushes = int(e.bulkFlushes.Load())
 		agg.FamiliesRetired = int(e.familiesRetired.Load())
 		agg.Overloaded = int(e.overloadShed.Load())
 		agg.EvalRetries = int(e.evalRetries.Load())
@@ -860,7 +849,7 @@ func (e *Engine) SubmitBatchNotify(qs []*ir.Query, fn func(Result)) ([]*Handle, 
 }
 
 // submitGrouped is the shared routing/regrouping skeleton of SubmitBatch
-// and SubmitBulk: every round resolves ALL remaining items with one router
+// and crash recovery (restorePending): every round resolves ALL remaining items with one router
 // pass, groups them by home shard, and hands each group — in ascending
 // input order, under its shard's lock, with the routing generation
 // re-validated — to the ingest callback. relss holds one coordination
@@ -873,7 +862,7 @@ func (e *Engine) SubmitBatchNotify(qs []*ir.Query, fn func(Result)) ([]*Handle, 
 // order before the next round: regrouping collects it shard by shard,
 // which interleaves the original order, and both callers' admission-order
 // contracts (batch order for SubmitBatch, ID-order safety verdicts for
-// SubmitBulk) require every group to ascend even after a retry.
+// recovery) require every group to ascend even after a retry.
 func (e *Engine) submitGrouped(relss [][]string, ingest func(s *shard, group []int) error) error {
 	remaining := make([]int, len(relss))
 	for i := range remaining {

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"entangle/internal/eqsql"
-	"entangle/internal/ir"
 	"entangle/internal/memdb"
 )
 
@@ -18,60 +17,6 @@ func prepareDB() *memdb.DB {
 		db.MustInsert("Flights", r...)
 	}
 	return db
-}
-
-func TestPrepareSubmit(t *testing.T) {
-	e := New(prepareDB(), Config{Mode: Incremental, Shards: 1})
-	defer e.Close()
-
-	st, err := e.Prepare(ir.MustParse(0, "{R('$2', x)} R('$1', x) :- Flights(x, '$3')"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.NumParams() != 3 {
-		t.Fatalf("NumParams = %d, want 3", st.NumParams())
-	}
-
-	h1, err := st.Submit("Kramer", "Jerry", "Paris")
-	if err != nil {
-		t.Fatal(err)
-	}
-	h2, err := st.Submit("Jerry", "Kramer", "Paris")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1, err := h1.Wait(5 * time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := h2.Wait(5 * time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Status != StatusAnswered || r2.Status != StatusAnswered {
-		t.Fatalf("statuses %s/%s (%s/%s)", r1.Status, r2.Status, r1.Detail, r2.Detail)
-	}
-	// Coordinated on the same flight.
-	if r1.Answer.Tuples[0].Args[1] != r2.Answer.Tuples[0].Args[1] {
-		t.Fatalf("partners on different flights: %v vs %v", r1.Answer.Tuples, r2.Answer.Tuples)
-	}
-
-	if _, err := st.Submit("too", "few"); err == nil {
-		t.Fatal("binding-count mismatch must be rejected")
-	}
-}
-
-func TestPrepareRejectsBadTemplates(t *testing.T) {
-	e := New(prepareDB(), Config{Mode: Incremental, Shards: 1})
-	defer e.Close()
-	// Gapped placeholders.
-	if _, err := e.Prepare(ir.MustParse(0, "{R(J, x)} R('$1', x) :- Flights(x, '$3')")); err == nil {
-		t.Fatal("gapped placeholders must fail Prepare")
-	}
-	// Validation failures surface at Prepare, not Submit.
-	if _, err := e.Prepare(&ir.Query{Choose: 1}); err == nil {
-		t.Fatal("headless template must fail Prepare")
-	}
 }
 
 // TestParseSQLFollowsDDL: ParseSQL translates statements of one shape from
@@ -122,10 +67,12 @@ WHERE fno IN (SELECT fno FROM Flights WHERE dest = 'Paris') CHOOSE 1`, who)
 	}
 }
 
-// TestPrepareSubmitDropRace exercises concurrent Prepare / Stmt.Submit on a
-// shared shape while DDL (Create/Drop) churns the stats epoch — the cache
-// is invalidated and refilled under shard parallelism. Run with -race; the
-// correctness assertion is that every coordinated pair still answers.
+// TestPrepareSubmitDropRace exercises concurrent SubmitSQL calls of one
+// statement shape (they differ only in their literals, so all of them bind
+// one cached template) while DDL (Create/Drop) churns the stats epoch — the
+// shape cache is invalidated and refilled under shard parallelism. Run with
+// -race; the correctness assertion is that every coordinated pair still
+// answers.
 func TestPrepareSubmitDropRace(t *testing.T) {
 	db := prepareDB()
 	e := New(db, Config{Mode: Incremental})
@@ -136,7 +83,7 @@ func TestPrepareSubmitDropRace(t *testing.T) {
 	errs := make(chan error, pairs+1)
 
 	// DDL churn: repeatedly create and drop an unrelated table, bumping the
-	// stats epoch and forcing recompiles of the shared shape mid-stream.
+	// stats epoch and forcing re-translation of the shared shape mid-stream.
 	stop := make(chan struct{})
 	churnDone := make(chan struct{})
 	go func() {
@@ -154,22 +101,24 @@ func TestPrepareSubmitDropRace(t *testing.T) {
 		}
 	}()
 
+	// Pair p's owners are distinct constants, so pairs never unify with one
+	// another although every statement names the same ANSWER relation.
+	stmt := func(me, partner string) string {
+		return fmt.Sprintf(`SELECT '%s', fno INTO ANSWER R
+WHERE fno IN (SELECT fno FROM Flights WHERE dest = 'Paris')
+AND ('%s', fno) IN ANSWER R CHOOSE 1`, me, partner)
+	}
 	for p := 0; p < pairs; p++ {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			st, err := e.Prepare(ir.MustParse(0, fmt.Sprintf(
-				"{R%d('$2', x)} R%d('$1', x) :- Flights(x, '$3')", p, p)))
+			k, j := fmt.Sprintf("Kramer%d", p), fmt.Sprintf("Jerry%d", p)
+			h1, err := e.SubmitSQL(stmt(k, j))
 			if err != nil {
 				errs <- err
 				return
 			}
-			h1, err := st.Submit("Kramer", "Jerry", "Paris")
-			if err != nil {
-				errs <- err
-				return
-			}
-			h2, err := st.Submit("Jerry", "Kramer", "Paris")
+			h2, err := e.SubmitSQL(stmt(j, k))
 			if err != nil {
 				errs <- err
 				return

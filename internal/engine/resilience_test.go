@@ -62,10 +62,10 @@ func TestOverloadShedAndDrain(t *testing.T) {
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("batch past cap: err = %v, want ErrOverloaded", err)
 	}
-	if _, err := e.SubmitBulk([]*ir.Query{
+	if _, err := e.SubmitBatch([]*ir.Query{
 		mustParse(t, "{Q3(A, x)} Q3(B, x) :- F(x, Rome)"),
-	}, BulkOptions{}); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("bulk past cap: err = %v, want ErrOverloaded", err)
+	}); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("one-query batch past cap: err = %v, want ErrOverloaded", err)
 	}
 	if got := e.Stats().Submitted; got != before {
 		t.Fatalf("shed submissions changed Submitted: %d → %d", before, got)

@@ -99,10 +99,7 @@ func (s *shard) submit(renamed *ir.Query, rels []string, h *Handle, now time.Tim
 	// unifying atoms, and all atoms that can unify with this query's live
 	// on this shard, so the shard-local check is equivalent to a global one.
 	if err := s.checker.Check(renamed); err != nil {
-		s.stats.RejectedUnsafe++
-		s.record(EventUnsafe, renamed.ID, err.Error())
-		s.eng.logUnsafe(renamed.ID, err)
-		h.deliver(Result{QueryID: renamed.ID, Status: StatusUnsafe, Detail: err.Error()})
+		s.rejectUnsafe(renamed.ID, err, h)
 		return nil
 	}
 	// Check just passed under this same lock, so admission cannot re-fail;
@@ -152,13 +149,24 @@ func (s *shard) submit(renamed *ir.Query, rels []string, h *Handle, now time.Tim
 	return nil
 }
 
+// rejectUnsafe resolves an arrival that failed the admission safety check.
+// Caller holds s.mu.
+func (s *shard) rejectUnsafe(id ir.QueryID, verdict error, h *Handle) {
+	s.stats.RejectedUnsafe++
+	s.record(EventUnsafe, id, verdict.Error())
+	s.eng.logUnsafe(id, verdict)
+	h.deliver(Result{QueryID: id, Status: StatusUnsafe, Detail: verdict.Error()})
+}
+
 // adopt re-homes a pending query migrated from another shard after a family
 // merge. The query was vetted by its source shard's safety checker, and
 // atoms of distinct families never unify, so re-admission cannot introduce a
 // violation; AdmitUnchecked skips the redundant re-check. The Submitted
 // attribution moves with the query (evict decremented it) so every shard's
 // counters satisfy Submitted = Answered + Rejected + RejectedUnsafe +
-// ExpiredStale + Pending on their own. Caller holds s.mu.
+// ExpiredStale + Pending on their own. Crash recovery (restorePending)
+// re-homes recovered queries here too, after its own Check. Caller holds
+// s.mu.
 func (s *shard) adopt(p *pendingQuery) {
 	s.stats.Submitted++
 	if s.eng.cfg.Mode == SetAtATime {
@@ -171,7 +179,7 @@ func (s *shard) adopt(p *pendingQuery) {
 	if err := s.g.AddQuery(p.renamed); err != nil {
 		// Duplicate IDs cannot occur (IDs are engine-global); fail loudly
 		// rather than silently dropping a handle.
-		panic(fmt.Sprintf("engine: migration re-add failed: %v", err))
+		panic(fmt.Sprintf("engine: re-add failed: %v", err))
 	}
 	s.pending[p.renamed.ID] = p
 	// The source shard's heap entry goes stale (lazily skipped there); the
@@ -277,7 +285,7 @@ func (s *shard) collectFlushRounds(rb *roundBatch) {
 }
 
 // flushLocked runs a full flush round synchronously under the held shard
-// lock: collect, evaluate inline, deliver. The batch/bulk ingest paths use
+// lock: collect, evaluate inline, deliver. The batch ingest path uses
 // it (via submit with rb == nil) where round deferral would reorder
 // coordination against later same-shard admissions.
 func (s *shard) flushLocked() {

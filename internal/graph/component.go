@@ -119,35 +119,6 @@ func (c *componentIndex) addNode(g *Graph, id ir.QueryID, postCount int) {
 	c.nodes[id] = centry{parent: id, unsat: int32(postCount), ver: c.tick()}
 }
 
-// addNodeBulk registers a node during Graph.BulkAdd: a singleton entry with
-// no meaningful counter — sealBulk marks the final component dirty, so the
-// exact unsat is derived by the next rebuild rather than maintained per
-// edge. Stale tombstones are cleared exactly as in addNode.
-func (c *componentIndex) addNodeBulk(g *Graph, id ir.QueryID) {
-	if _, stale := c.nodes[id]; stale {
-		c.rebuild(g, c.find(id))
-	}
-	c.nodes[id] = centry{parent: id, ver: c.tick()}
-}
-
-// onLinkBulk merges the endpoints' components for an edge discovered during
-// Graph.BulkAdd. Only the union-find structure (and its member lists, which
-// seed the deferred rebuild) is maintained; the merged root's unsat counter
-// is garbage until sealBulk's dirty mark forces a rebuild.
-func (c *componentIndex) onLinkBulk(from, to ir.QueryID) {
-	c.union(c.find(from), c.find(to))
-}
-
-// sealBulk marks every bulk-added node's component dirty, so each touched
-// component re-derives its membership and closedness counter exactly once —
-// at its next probe — no matter how many nodes and edges the bulk added to
-// it.
-func (c *componentIndex) sealBulk(qs []*ir.Query) {
-	for _, q := range qs {
-		c.dirty[c.find(q.ID)] = true
-	}
-}
-
 // onLink accounts for a newly discovered edge: the endpoints' components
 // merge, and if the edge feeds one of the target's still-unfed
 // postconditions the merged component's unsat counter drops by one.

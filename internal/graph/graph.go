@@ -186,108 +186,6 @@ func (g *Graph) AddQuery(q *ir.Query) error {
 	return nil
 }
 
-// BulkAdd inserts a set of queries set-at-a-time: every atom is indexed
-// first, then edges are discovered in one pass, then the component index is
-// told to re-derive each touched component once (lazily, at its next
-// closedness probe) instead of maintaining counters edge by edge. The
-// resulting graph — nodes, edge multiset, components, closedness — is
-// identical to AddQuery-ing the same queries in slice order; only the
-// per-node edge-list ordering (which nothing observable depends on) and the
-// construction cost differ. The saving over N AddQuery calls is structural:
-// with the whole batch indexed up front, every (head, postcondition) pair
-// between two batch members is found by probing the head side alone, so the
-// batch pays one index lookup per head plus — only when the graph already
-// held resident queries — one per postcondition, instead of one per atom
-// plus the incremental counter maintenance on every edge.
-//
-// Duplicate IDs (against the graph or within qs) fail before any mutation.
-// The engine's bulk-load path is the intended caller; it holds the shard
-// lock for the whole call, as AddQuery callers do.
-func (g *Graph) BulkAdd(qs []*ir.Query) error {
-	if len(qs) == 0 {
-		return nil
-	}
-	fresh := make(map[ir.QueryID]bool, len(qs))
-	for _, q := range qs {
-		if _, dup := g.nodes[q.ID]; dup {
-			return fmt.Errorf("graph: duplicate query id %d", q.ID)
-		}
-		if fresh[q.ID] {
-			return fmt.Errorf("graph: duplicate query id %d within bulk", q.ID)
-		}
-		fresh[q.ID] = true
-	}
-	hadResidents := len(g.nodes) > 0
-
-	// Phase 1: nodes and atom indexes for the whole batch.
-	for _, q := range qs {
-		if g.removedOrder[q.ID] {
-			live := g.order[:0]
-			for _, qid := range g.order {
-				if qid != q.ID {
-					live = append(live, qid)
-				}
-			}
-			g.order = live
-			delete(g.removedOrder, q.ID)
-		}
-		n := &Node{Query: q, pos: g.nextPos}
-		g.nodes[q.ID] = n
-		g.order = append(g.order, q.ID)
-		g.nextPos++
-		g.comp.addNodeBulk(g, q.ID)
-		for hi, h := range q.Heads {
-			g.headIx.Add(AtomRef{Query: q.ID, Pos: hi, Atom: h})
-		}
-		for pi, p := range q.Posts {
-			g.postIx.Add(AtomRef{Query: q.ID, Pos: pi, Atom: p})
-		}
-	}
-
-	// Phase 2: edge discovery. Probing each batch head against the complete
-	// postcondition index finds every batch→batch and batch→resident edge
-	// exactly once; resident→batch edges need the postcondition side too,
-	// restricted to resident heads (batch heads were already paired above) —
-	// and skipped entirely when the graph was empty.
-	for _, q := range qs {
-		for hi, h := range q.Heads {
-			for _, ref := range g.lookup(g.postIx, h) {
-				if ref.Query == q.ID {
-					continue // no self-edges
-				}
-				g.linkBulk(&Edge{From: q.ID, To: ref.Query, Head: AtomRef{Query: q.ID, Pos: hi, Atom: h}, Post: ref})
-			}
-		}
-		if !hadResidents {
-			continue
-		}
-		for pi, p := range q.Posts {
-			for _, ref := range g.lookup(g.headIx, p) {
-				if ref.Query == q.ID || fresh[ref.Query] {
-					continue // self, or already discovered from the head side
-				}
-				g.linkBulk(&Edge{From: ref.Query, To: q.ID, Head: ref, Post: AtomRef{Query: q.ID, Pos: pi, Atom: p}})
-			}
-		}
-	}
-
-	// Phase 3: closedness counters for every component the batch touched are
-	// re-derived once, on the next probe (ComponentClosed / ClosedComponents),
-	// instead of having been maintained per edge.
-	g.comp.sealBulk(qs)
-	return nil
-}
-
-// linkBulk appends an edge during BulkAdd: endpoints' components are merged
-// but the closedness counters are left for sealBulk's deferred rebuild.
-func (g *Graph) linkBulk(e *Edge) {
-	from := g.nodes[e.From]
-	to := g.nodes[e.To]
-	from.Out = append(from.Out, e)
-	to.In = append(to.In, e)
-	g.comp.onLinkBulk(e.From, e.To)
-}
-
 // lookup resolves a probe through the graph's reusable buffer; the result
 // is valid until the next lookup call.
 func (g *Graph) lookup(ix *Index, probe ir.Atom) []AtomRef {

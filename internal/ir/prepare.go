@@ -2,7 +2,8 @@ package ir
 
 import "fmt"
 
-// Placeholder support for prepared statements. A placeholder is a constant
+// Placeholder support for statement templates (eqsql.ShapeCache lifts a
+// statement's literals to placeholders). A placeholder is a constant
 // term of the form $N (a dollar sign followed by decimal digits, 1-based):
 // in the IR text syntax it must be written quoted ('$1'), since $ is not an
 // identifier rune; the SQL front end passes it through like any literal. A

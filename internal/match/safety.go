@@ -86,22 +86,6 @@ func EnforceSafety(queries []*ir.Query) (kept, removed []*ir.Query) {
 	}
 }
 
-// UnsafePostError builds the rejection for a postcondition unifying with n
-// admitted head atoms. Shared by the incremental checker and the engine's
-// bulk safety sweep, whose verdict DETAILS must stay byte-identical for the
-// same violation (the bulk ≡ batch equivalence contract).
-func UnsafePostError(post ir.Atom, q ir.QueryID, n int) error {
-	return fmt.Errorf("match: unsafe: postcondition %s of query %d unifies with %d head atoms", post, q, n)
-}
-
-// UnsafeHeadError builds the rejection for a head atom that would give an
-// admitted query's postcondition a second unifying head (see
-// UnsafePostError for the sharing contract).
-func UnsafeHeadError(head ir.Atom, q ir.QueryID, post ir.Atom, target ir.QueryID) error {
-	return fmt.Errorf("match: unsafe: head %s of query %d would give postcondition %s of query %d multiple matches",
-		head, q, post, target)
-}
-
 // SafetyChecker admits queries one at a time, maintaining head and
 // postcondition indices over the admitted set. A new query is rejected if
 // admitting it would make the workload unsafe — either because one of its
@@ -157,7 +141,7 @@ func (c *SafetyChecker) Check(q *ir.Query) error {
 			}
 		}
 		if n > 1 {
-			return UnsafePostError(p, q.ID, n)
+			return fmt.Errorf("match: unsafe: postcondition %s of query %d unifies with %d head atoms", p, q.ID, n)
 		}
 	}
 	// (2) q's heads must not give any admitted postcondition a second
@@ -189,7 +173,8 @@ func (c *SafetyChecker) Check(q *ir.Query) error {
 				}
 			}
 			if existing+added[k] > 1 {
-				return UnsafeHeadError(h, q.ID, pref.Atom, pref.Query)
+				return fmt.Errorf("match: unsafe: head %s of query %d would give postcondition %s of query %d multiple matches",
+					h, q.ID, pref.Atom, pref.Query)
 			}
 		}
 	}

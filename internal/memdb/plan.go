@@ -31,8 +31,7 @@ import (
 // An argument can also be a parameter — a constant whose value is supplied
 // per execution via ExecState.SetParams rather than baked into the plan.
 // Parameters are what make plans shareable across queries of the same shape
-// (the shape-keyed plan cache) and are the execution substrate of prepared
-// statements: a parameter behaves exactly like a constant for join ordering
+// (the shape-keyed plan cache): a parameter behaves exactly like a constant for join ordering
 // and index probing, only the value is late-bound.
 
 // planArg describes one argument position of a compiled atom: a constant to

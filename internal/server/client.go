@@ -37,7 +37,7 @@ type DialOptions struct {
 	// deadlines entirely.
 	OpTimeout time.Duration
 	// Reconnect enables automatic redial after a lost connection. Single
-	// submissions (sql / ir / execute) carry idempotency tokens and are
+	// submissions (sql / ir) carry idempotency tokens and are
 	// re-sent when the connection died before their ack, so a flaky link
 	// cannot admit a query twice or lose it without a typed error.
 	Reconnect bool
@@ -228,7 +228,7 @@ func (c *Client) readLoop(conn net.Conn, gen int, acks chan Response) {
 			continue
 		}
 		switch resp.Type {
-		case "ack", "error", "batch", "prepared":
+		case "ack", "error", "batch":
 			// Never block the read loop on a slow/absent exchange: an
 			// unsolicited or stale reply is dropped and counted, so one
 			// misrouted message cannot wedge result delivery for the whole
@@ -603,51 +603,6 @@ func (c *Client) submitMany(req Request) ([]BatchHandle, error) {
 // SubmitIR submits a query in IR text syntax.
 func (c *Client) SubmitIR(irText string) (ir.QueryID, <-chan Response, error) {
 	return c.submit(Request{Op: "ir", IR: irText})
-}
-
-// ClientStmt is a server-side prepared statement bound to one connection
-// generation: statement ids are connection-scoped, so after a reconnect an
-// Execute fails with a typed "unknown statement" server error — re-prepare
-// on the new connection.
-type ClientStmt struct {
-	c      *Client
-	id     int
-	params int
-}
-
-// NumParams returns the number of placeholder bindings Execute expects.
-func (s *ClientStmt) NumParams() int { return s.params }
-
-// prepare performs the prepare request/reply exchange for an SQL or IR
-// template (exactly one set).
-func (c *Client) prepare(req Request) (*ClientStmt, error) {
-	c.reqMu.Lock()
-	ack, _, err := c.exchange(req, false)
-	c.reqMu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	if ack.Type == "error" {
-		return nil, ack.Err()
-	}
-	return &ClientStmt{c: c, id: ack.Stmt, params: ack.Params}, nil
-}
-
-// PrepareSQL prepares an entangled-SQL template on the server; placeholders
-// appear as quoted '$1'..'$K' literals.
-func (c *Client) PrepareSQL(sql string) (*ClientStmt, error) {
-	return c.prepare(Request{Op: "prepare", SQL: sql})
-}
-
-// PrepareIR prepares an IR-text template on the server.
-func (c *Client) PrepareIR(irText string) (*ClientStmt, error) {
-	return c.prepare(Request{Op: "prepare", IR: irText})
-}
-
-// Execute binds the statement's placeholders and submits it; the returned
-// channel receives the query's single terminal result.
-func (s *ClientStmt) Execute(bindings ...string) (ir.QueryID, <-chan Response, error) {
-	return s.c.submit(Request{Op: "execute", Stmt: s.id, Bindings: bindings})
 }
 
 // control performs an ack-only exchange (load / flush / checkpoint): not

@@ -12,64 +12,6 @@ import (
 	"entangle/internal/engine"
 )
 
-func TestServerPrepareExecute(t *testing.T) {
-	_, addr := startServer(t, engine.Config{Mode: engine.Incremental})
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	st, err := c.PrepareIR("{R('$2', x)} R('$1', x) :- F(x, '$3')")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.NumParams() != 3 {
-		t.Fatalf("NumParams = %d, want 3", st.NumParams())
-	}
-	_, ch1, err := st.Execute("Kramer", "Jerry", "Paris")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, ch2, err := st.Execute("Jerry", "Kramer", "Paris")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1, r2 := waitResult(t, ch1), waitResult(t, ch2)
-	if r1.Status != "answered" || r2.Status != "answered" {
-		t.Fatalf("statuses %s/%s (%s/%s)", r1.Status, r2.Status, r1.Detail, r2.Detail)
-	}
-	// Repeat executions keep working (and exercise the plan cache).
-	_, ch3, err := st.Execute("A", "B", "Rome")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, ch4, err := st.Execute("B", "A", "Rome")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r := waitResult(t, ch3); r.Status != "answered" {
-		t.Fatalf("r3 = %+v", r)
-	}
-	if r := waitResult(t, ch4); r.Status != "answered" {
-		t.Fatalf("r4 = %+v", r)
-	}
-
-	// Wrong binding count fails the execute, not the connection.
-	if _, _, err := st.Execute("just-one"); err == nil {
-		t.Fatal("binding-count mismatch must fail")
-	}
-	// Unknown statement ids are rejected.
-	bogus := &ClientStmt{c: c, id: 999, params: 0}
-	if _, _, err := bogus.Execute(); err == nil {
-		t.Fatal("unknown statement must fail")
-	}
-	// Prepare surfaces template errors.
-	if _, err := c.PrepareIR("{R(J, x)} R('$1', x) :- F(x, '$3')"); err == nil {
-		t.Fatal("gapped placeholders must fail prepare")
-	}
-}
-
 // TestServerOversizedRequest pins the read-loop error path: a request line
 // over the scanner's 1 MB buffer stops the read loop, and the server must
 // tell the client why (a final error message) instead of dropping the

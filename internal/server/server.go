@@ -11,11 +11,6 @@
 //	                                                      submit many queries in one engine batch
 //	                 {"op":"subscribe","queries":[…],"token":"…"}
 //	                                                      submit a query set, stream every result back
-//	                 {"op":"prepare","sql":"SELECT …"}    prepare a statement template
-//	                 {"op":"prepare","ir":"{R(J,x)} R('$1',x) :- F(x,'$2')"}
-//	                                                      … or from IR text
-//	                 {"op":"execute","stmt":3,"bindings":["Karl","Paris"]}
-//	                                                      submit a prepared statement
 //	                 {"op":"load","sql":"CREATE TABLE …"} run a DDL/DML script
 //	                 {"op":"flush"}                       force a set-at-a-time round
 //	                 {"op":"checkpoint"}                  durably checkpoint (durable engines)
@@ -26,8 +21,6 @@
 //	                                                      typed failure (code: "overloaded" | "wal_poisoned")
 //	                 {"type":"batch","items":[{"id":7},{"error":"…"}]}
 //	                                                      per-query batch outcome, in input order
-//	                 {"type":"prepared","stmt":3,"params":2}
-//	                                                      statement prepared; params counts its placeholders
 //	                 {"type":"result","id":7,"status":"answered","tuples":["R(K, 122)"]}
 //	                 {"type":"stats","stats":{…}}
 //
@@ -50,7 +43,7 @@
 //
 // # Resilience
 //
-// Single submissions (sql / ir / execute) may carry a client-generated
+// Single submissions (sql / ir) may carry a client-generated
 // "token", echoed back on the ack and remembered server-side: a reconnecting
 // client that never saw its ack re-sends the same request with the same
 // token, and the server suppresses the duplicate admission, re-acks the
@@ -87,17 +80,9 @@
 // the script is logged write-ahead and survives a crash; checkpoint forces
 // a durable snapshot and fails on engines without a data directory.
 //
-// prepare parses and validates a query template once — entangled SQL or IR
-// text, with placeholders written as quoted '$1'..'$K' literals — and
-// returns a connection-scoped statement id plus the placeholder count.
-// execute binds the placeholders ("bindings", in order) and submits the
-// resulting query exactly like sql/ir: an ack with the engine-assigned id,
-// then the single result message. Statement ids are per connection and
-// released when it closes. Repeated executes of one statement share a
-// plan-cache shape, so the combined query compiles at most once server-side.
-// Plain sql submissions get the same reuse implicitly: statements differing
-// only in their string literals share one cached translation
-// (Engine.ParseSQL).
+// sql submissions differing only in their string literals share one cached
+// translation (Engine.ParseSQL) and one plan-cache shape, so a repeated
+// statement is parsed and compiled at most once server-side.
 package server
 
 import (
@@ -120,13 +105,8 @@ type Request struct {
 	SQL     string       `json:"sql,omitempty"`
 	IR      string       `json:"ir,omitempty"`
 	Queries []BatchQuery `json:"queries,omitempty"` // submit_batch / subscribe payload
-	// Stmt names a prepared statement (execute only; connection-scoped id
-	// from a prior prepare reply). Bindings are its placeholder values, in
-	// $1..$K order.
-	Stmt     int      `json:"stmt,omitempty"`
-	Bindings []string `json:"bindings,omitempty"`
 	// Token is a client-generated idempotency key for single submissions
-	// (sql / ir / execute): re-sending a request with the same token after a
+	// (sql / ir): re-sending a request with the same token after a
 	// reconnect cannot admit the query twice (see the Resilience section of
 	// the package docs).
 	Token string `json:"token,omitempty"`
@@ -155,10 +135,6 @@ type Response struct {
 	Error  string        `json:"error,omitempty"`
 	Stats  *engine.Stats `json:"stats,omitempty"`
 	Items  []BatchItem   `json:"items,omitempty"` // batch reply, in input order
-	// Stmt and Params carry a prepare reply ("prepared"): the
-	// connection-scoped statement id and its placeholder count.
-	Stmt   int `json:"stmt,omitempty"`
-	Params int `json:"params,omitempty"`
 	// Code classifies typed failures machine-readably (see the Code*
 	// constants); empty for untyped errors and all non-error replies.
 	Code string `json:"code,omitempty"`
@@ -415,15 +391,12 @@ func (s *Server) Shutdown() {
 	s.wg.Wait()
 }
 
-// session is the reader side of one connection: request dispatch and the
-// connection-scoped prepared statements. Only the reader goroutine touches
-// it.
+// session is the reader side of one connection: request dispatch. Only the
+// reader goroutine touches it.
 type session struct {
 	s           *Server
 	c           *conn
 	maxInFlight int64
-	stmts       map[int]*engine.Stmt
-	nextStmt    int
 }
 
 func (s *Server) handle(nc net.Conn) {
@@ -439,7 +412,7 @@ func (s *Server) handle(nc net.Conn) {
 	} else if maxInFlight < 0 {
 		maxInFlight = 0
 	}
-	ss := &session{s: s, c: newConn(nc), maxInFlight: int64(maxInFlight), stmts: make(map[int]*engine.Stmt)}
+	ss := &session{s: s, c: newConn(nc), maxInFlight: int64(maxInFlight)}
 	writerDone := make(chan struct{})
 	go func() {
 		defer close(writerDone)
@@ -482,36 +455,7 @@ func (ss *session) serve(req *Request) {
 	s, c := ss.s, ss.c
 	switch req.Op {
 	case "sql", "ir":
-		ss.submitOne(req, nil)
-	case "prepare":
-		var st *engine.Stmt
-		var err error
-		switch {
-		case req.SQL != "":
-			st, err = s.Engine.PrepareSQL(req.SQL)
-		case req.IR != "":
-			var q *ir.Query
-			q, err = ir.Parse(0, req.IR)
-			if err == nil {
-				st, err = s.Engine.Prepare(q)
-			}
-		default:
-			err = fmt.Errorf("prepare: neither sql nor ir set")
-		}
-		if err != nil {
-			c.reply(Response{Type: "error", Error: err.Error()})
-			return
-		}
-		ss.nextStmt++
-		ss.stmts[ss.nextStmt] = st
-		c.reply(Response{Type: "prepared", Stmt: ss.nextStmt, Params: st.NumParams()})
-	case "execute":
-		st, ok := ss.stmts[req.Stmt]
-		if !ok {
-			c.reply(Response{Type: "error", Token: req.Token, Error: fmt.Sprintf("execute: unknown statement %d", req.Stmt)})
-			return
-		}
-		ss.submitOne(req, st)
+		ss.submitOne(req)
 	case "submit_batch":
 		if ss.overloaded(len(req.Queries)) {
 			c.reply(Response{Type: "error", Code: CodeOverloaded,
@@ -569,12 +513,12 @@ func (ss *session) overloaded(n int) bool {
 	return ss.maxInFlight > 0 && ss.c.inFlight.Load()+int64(n) > ss.maxInFlight
 }
 
-// submitOne runs a single submission (sql / ir, or execute of st) end to
-// end: in-flight cap, duplicate suppression, admission, ack. A duplicate
-// token (a client re-sending after a lost connection) never re-admits: it
-// re-acks the original engine-assigned id and re-delivers the terminal
-// result to THIS connection once it exists.
-func (ss *session) submitOne(req *Request, st *engine.Stmt) {
+// submitOne runs a single submission (sql / ir) end to end: in-flight cap,
+// duplicate suppression, admission, ack. A duplicate token (a client
+// re-sending after a lost connection) never re-admits: it re-acks the
+// original engine-assigned id and re-delivers the terminal result to THIS
+// connection once it exists.
+func (ss *session) submitOne(req *Request) {
 	s, c := ss.s, ss.c
 	if ss.overloaded(1) {
 		c.reply(Response{Type: "error", Code: CodeOverloaded, Token: req.Token,
@@ -608,19 +552,14 @@ func (ss *session) submitOne(req *Request, st *engine.Stmt) {
 	c.begin()
 	var h *engine.Handle
 	var err error
-	switch {
-	case st != nil:
-		h, err = st.SubmitNotify(hook, req.Bindings...)
-	case req.Op == "sql":
-		var q *ir.Query
-		if q, err = s.Engine.ParseSQL(req.SQL); err == nil {
-			h, err = s.Engine.SubmitNotify(q, hook)
-		}
-	default:
-		var q *ir.Query
-		if q, err = ir.Parse(0, req.IR); err == nil {
-			h, err = s.Engine.SubmitNotify(q, hook)
-		}
+	var q *ir.Query
+	if req.Op == "sql" {
+		q, err = s.Engine.ParseSQL(req.SQL)
+	} else {
+		q, err = ir.Parse(0, req.IR)
+	}
+	if err == nil {
+		h, err = s.Engine.SubmitNotify(q, hook)
 	}
 	if err != nil {
 		resp := Response{Type: "error", Error: err.Error(), Code: errCode(err), Token: req.Token}

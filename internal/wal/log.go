@@ -28,7 +28,7 @@ const (
 	// Sync fsyncs before each Append returns, with group commit —
 	// concurrent appenders share one fsync (the leader syncs, followers
 	// wait on it), so the per-append cost amortises under load exactly the
-	// way SubmitBulk amortises locks.
+	// way SubmitBatch amortises locks.
 	Sync
 )
 
